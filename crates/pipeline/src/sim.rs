@@ -15,6 +15,12 @@
 //!   the value arrives, as do its own speculatively scheduled dependants;
 //! * per-class functional-unit pools and cache-port arbitration.
 //!
+//! The scheduler is event-driven: a waiting op that cannot issue is parked
+//! on whatever blocks it — its producer's state, or the cycle its operand
+//! is predicted to arrive — and is looked at again only when that changes.
+//! Each cycle it therefore visits only the ops that might issue, oldest
+//! first, and picks exactly what a scan of the whole ROB would.
+//!
 //! Simplifications relative to silicon (documented in DESIGN.md): stores
 //! do not forward to loads (the synthetic traces carry no load/store
 //! aliasing), wrong-path instructions are modeled as a fetch stall rather
@@ -30,12 +36,15 @@ use yac_workload::{MicroOp, OpClass};
 
 /// Horizon of the FU-arrival ring (must exceed sched_to_exec + bypass).
 const ARRIVAL_HORIZON: usize = 64;
-/// Horizon of the completion ring (must exceed the worst memory latency).
+/// Horizon of the completion ring and of the scheduler's timer wheel (must
+/// exceed the worst memory latency, MSHR queueing included).
 const COMPLETION_HORIZON: usize = 1024;
 /// Give up on an entry after this many bypass requeues (safety valve).
 const MAX_REQUEUES: u8 = 8;
 /// Cycles without a commit after which the simulator reports a deadlock.
 const DEADLOCK_LIMIT: u64 = 500_000;
+/// End of an intrusive list of ROB slots.
+const NIL: u32 = u32::MAX;
 
 /// Functional-unit pools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +112,23 @@ struct Entry {
     /// discovered — "announced" to the scheduler — at this cycle; until
     /// then dependants are woken as if the load hits in the assumed time.
     announce_at: Option<u64>,
+    /// Next ROB slot on the one list this entry is on: a producer's wake
+    /// list or a timer bucket while parked, an arrival bucket while
+    /// scheduled, a completion bucket while executing.
+    link: u32,
+    /// First ROB slot of the waiting ops parked on this entry's state.
+    wakers: u32,
+}
+
+/// Why a waiting op cannot issue this cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Gate {
+    /// Operands are (predicted) ready: the op may issue.
+    Open,
+    /// Blocked until the producer in this ROB slot changes state.
+    Producer(usize),
+    /// Blocked, whatever else happens, before this cycle.
+    Until(u64),
 }
 
 /// The simulated out-of-order core.
@@ -127,7 +153,10 @@ pub struct Pipeline {
     mem: MemoryHierarchy,
     predictor: BranchPredictor,
     now: u64,
-    rob: VecDeque<Entry>,
+    /// The reorder buffer as a ring: the entry with sequence number `seq`
+    /// lives in slot `seq & slot_mask`; `base_seq..next_seq` are in flight.
+    rob: Vec<Entry>,
+    slot_mask: u64,
     base_seq: u64,
     next_seq: u64,
     iq_count: usize,
@@ -139,8 +168,18 @@ pub struct Pipeline {
     fetch_resume_at: u64,
     last_fetch_block: u64,
     trace_done: bool,
-    arrivals: Vec<Vec<u64>>,
-    completions: Vec<Vec<u64>>,
+    /// One bit per ROB slot: waiting ops the scheduler examines this cycle.
+    /// Every other waiting op is parked on a wake list or a timer bucket.
+    ready: Vec<u64>,
+    /// Timer wheel: heads of the lists of ops parked until a cycle.
+    timers: Vec<u32>,
+    /// Heads of the lists of scheduled ops by FU-arrival cycle, each list
+    /// in age order.
+    arrivals: Vec<u32>,
+    /// Heads of the lists of executing ops by completion cycle.
+    completions: Vec<u32>,
+    /// ROB slots selected by the current cycle's schedule.
+    picks: Vec<u32>,
     fu_reserved: Vec<[u16; FuClass::COUNT]>,
     fu_limits: [u16; FuClass::COUNT],
     stats: SimStats,
@@ -170,11 +209,13 @@ impl Pipeline {
             cfg.mem_ports as u16,
         ];
         let predictor = BranchPredictor::new(cfg.predictor_bits);
+        let slots = cfg.rob_size.next_power_of_two();
         Ok(Pipeline {
             predictor,
             mem,
             now: 0,
-            rob: VecDeque::with_capacity(cfg.rob_size),
+            rob: Vec::with_capacity(slots),
+            slot_mask: slots as u64 - 1,
             base_seq: 0,
             next_seq: 0,
             iq_count: 0,
@@ -185,8 +226,11 @@ impl Pipeline {
             fetch_resume_at: 0,
             last_fetch_block: u64::MAX,
             trace_done: false,
-            arrivals: vec![Vec::new(); ARRIVAL_HORIZON],
-            completions: vec![Vec::new(); COMPLETION_HORIZON],
+            ready: vec![0; slots.div_ceil(64)],
+            timers: vec![NIL; COMPLETION_HORIZON],
+            arrivals: vec![NIL; ARRIVAL_HORIZON],
+            completions: vec![NIL; COMPLETION_HORIZON],
+            picks: Vec::with_capacity(cfg.width),
             fu_reserved: vec![[0; FuClass::COUNT]; ARRIVAL_HORIZON],
             fu_limits,
             stats: SimStats::default(),
@@ -242,16 +286,17 @@ impl Pipeline {
             if warmed && self.total_committed >= target_end {
                 break;
             }
-            if self.trace_done && self.rob.is_empty() && self.fetch_q.is_empty() {
+            if self.trace_done && self.rob_len() == 0 && self.fetch_q.is_empty() {
                 break;
             }
             assert!(
                 self.now - self.last_commit_cycle < DEADLOCK_LIMIT,
                 "pipeline deadlock at cycle {}: rob={} iq={} head={:?}",
                 self.now,
-                self.rob.len(),
+                self.rob_len(),
                 self.iq_count,
-                self.rob.front().map(|e| (e.seq, e.state, e.op.class)),
+                self.entry(self.base_seq)
+                    .map(|e| (e.seq, e.state, e.op.class)),
             );
         }
         yac_obs::add(yac_obs::Metric::UopsCommitted, self.stats.committed);
@@ -285,14 +330,18 @@ impl Pipeline {
 
     // ---- helpers -------------------------------------------------------
 
-    fn entry(&self, seq: u64) -> Option<&Entry> {
-        seq.checked_sub(self.base_seq)
-            .and_then(|i| self.rob.get(i as usize))
+    fn rob_len(&self) -> usize {
+        (self.next_seq - self.base_seq) as usize
     }
 
-    fn entry_mut(&mut self, seq: u64) -> Option<&mut Entry> {
-        seq.checked_sub(self.base_seq)
-            .and_then(|i| self.rob.get_mut(i as usize))
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.slot_mask) as usize
+    }
+
+    fn entry(&self, seq: u64) -> Option<&Entry> {
+        (self.base_seq..self.next_seq)
+            .contains(&seq)
+            .then(|| &self.rob[self.slot(seq)])
     }
 
     /// Latency the scheduler assumes for a producer's result.
@@ -318,9 +367,7 @@ impl Pipeline {
                     ExecState::Executing { done_at } => match e.announce_at {
                         // Until the expected-completion cycle passes, the
                         // scheduler still believes the assumed latency.
-                        Some(announce) if self.now < announce => {
-                            Some(announce.max(done_at.min(announce)))
-                        }
+                        Some(announce) if self.now < announce => Some(announce),
                         _ => Some(done_at),
                     },
                     ExecState::Done { at } => Some(at),
@@ -368,11 +415,115 @@ impl Pipeline {
         }
     }
 
+    /// Whether the waiting op in `slot` may issue to execute at `exec_at`,
+    /// and if not, what it waits for.
+    ///
+    /// A `Gate::Until` cycle is the earlier of two: the cycle the blocking
+    /// operand's predicted arrival enters the schedule window, and the
+    /// cycle its producer next changes state (arrives at its unit or
+    /// completes). Before it, neither the prediction nor the producer can
+    /// move, so the op cannot issue. The load-announce boundary falls after
+    /// it: an announce-time prediction gates only until `announce - depth`.
+    fn gate(&self, slot: usize, exec_at: u64) -> Gate {
+        let e = &self.rob[slot];
+        for src in e.srcs.iter().flatten() {
+            let SrcRef::Producer(seq) = *src else {
+                continue;
+            };
+            let ready = if e.replayed {
+                // Post-replay re-issue is non-speculative: wait for the
+                // producer's value to be definitely on its way.
+                self.firm_ready(*src)
+            } else {
+                self.pred_ready(*src)
+            };
+            match ready {
+                Some(t) if t <= exec_at => {}
+                Some(t) => {
+                    let depth = u64::from(self.cfg.sched_to_exec);
+                    let change = match self.entry(seq).map(|p| p.state) {
+                        Some(ExecState::Scheduled { exec_at: arrives }) => arrives,
+                        Some(ExecState::Executing { done_at }) => done_at,
+                        // A done or retired producer's value is ready now.
+                        _ => u64::MAX,
+                    };
+                    return Gate::Until((t - depth).min(change));
+                }
+                None => return Gate::Producer(self.slot(seq)),
+            }
+        }
+        Gate::Open
+    }
+
+    fn mark_ready(&mut self, slot: usize) {
+        self.ready[slot / 64] |= 1 << (slot % 64);
+    }
+
+    fn clear_ready(&mut self, slot: usize) {
+        self.ready[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    /// The first ready slot in `from..end`.
+    fn next_ready(&self, from: usize, end: usize) -> Option<usize> {
+        if from >= end {
+            return None;
+        }
+        let mut word = from / 64;
+        let mut bits = self.ready[word] & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                let slot = word * 64 + bits.trailing_zeros() as usize;
+                return (slot < end).then_some(slot);
+            }
+            word += 1;
+            if word * 64 >= end {
+                return None;
+            }
+            bits = self.ready[word];
+        }
+    }
+
+    /// Moves every op of an intrusive list back into the ready set.
+    fn wake_list(&mut self, mut slot: u32) {
+        while slot != NIL {
+            self.mark_ready(slot as usize);
+            slot = self.rob[slot as usize].link;
+        }
+    }
+
+    /// Changes the state of a waiting or scheduled entry, which is what its
+    /// parked consumers wait for.
+    fn set_state(&mut self, slot: usize, state: ExecState) {
+        self.rob[slot].state = state;
+        let wakers = std::mem::replace(&mut self.rob[slot].wakers, NIL);
+        self.wake_list(wakers);
+    }
+
+    /// Queues `slot` to arrive at its functional unit at cycle `at`,
+    /// keeping the bucket oldest first so producers precede consumers.
+    fn push_arrival(&mut self, at: u64, slot: usize) {
+        let bucket = (at % ARRIVAL_HORIZON as u64) as usize;
+        let seq = self.rob[slot].seq;
+        let mut prev = NIL;
+        let mut cur = self.arrivals[bucket];
+        while cur != NIL && self.rob[cur as usize].seq < seq {
+            prev = cur;
+            cur = self.rob[cur as usize].link;
+        }
+        self.rob[slot].link = cur;
+        if prev == NIL {
+            self.arrivals[bucket] = slot as u32;
+        } else {
+            self.rob[prev as usize].link = slot as u32;
+        }
+    }
+
     /// Whether an older, still-in-flight store writes the same 8-byte word.
     fn older_store_to(&self, seq: u64, addr: u64) -> bool {
         let word = addr & !7;
-        self.rob.iter().any(|e| {
-            e.seq < seq && e.op.class == OpClass::Store && e.op.addr.map(|a| a & !7) == Some(word)
+        (self.base_seq..seq).any(|s| {
+            let e = &self.rob[self.slot(s)];
+            e.op.class == OpClass::Store && e.op.addr.map(|a| a & !7) == Some(word)
         })
     }
 
@@ -390,23 +541,25 @@ impl Pipeline {
         self.outstanding_misses
             .iter()
             .copied()
-            .fold(f64::INFINITY as u64, u64::min)
-            .max(self.now)
+            .min()
+            .map_or(now, |first| first.max(now))
     }
 
     // ---- pipeline phases ----------------------------------------------
 
     fn commit(&mut self) {
         for _ in 0..self.cfg.width {
-            let Some(front) = self.rob.front() else { break };
+            let Some(front) = self.entry(self.base_seq) else {
+                break;
+            };
             let ExecState::Done { .. } = front.state else {
                 break;
             };
-            let entry = self.rob.pop_front().expect("front exists");
-            self.base_seq += 1;
-            if entry.op.class.is_mem() {
+            debug_assert_eq!(front.wakers, NIL, "no op waits on a done entry");
+            if front.op.class.is_mem() {
                 self.lsq_count -= 1;
             }
+            self.base_seq += 1;
             self.total_committed += 1;
             self.stats.committed += 1;
             self.last_commit_cycle = self.now;
@@ -414,21 +567,18 @@ impl Pipeline {
     }
 
     fn complete(&mut self) {
-        let slot = (self.now % COMPLETION_HORIZON as u64) as usize;
-        let seqs = std::mem::take(&mut self.completions[slot]);
-        for seq in seqs {
-            let now = self.now;
-            let Some(e) = self.entry_mut(seq) else {
-                continue;
-            };
-            debug_assert!(matches!(e.state, ExecState::Executing { .. }));
+        let now = self.now;
+        let bucket = (now % COMPLETION_HORIZON as u64) as usize;
+        let mut slot = std::mem::replace(&mut self.completions[bucket], NIL);
+        while slot != NIL {
+            let e = &mut self.rob[slot as usize];
+            slot = e.link;
+            debug_assert!(matches!(e.state, ExecState::Executing { done_at } if done_at == now));
             e.state = ExecState::Done { at: now };
-            let is_branch = e.op.class == OpClass::Branch;
-            let resolves = e.resolves_fetch;
-            if is_branch {
+            if e.op.class == OpClass::Branch {
                 self.stats.branches += 1;
             }
-            if resolves {
+            if e.resolves_fetch {
                 self.fetch_blocked = false;
                 self.fetch_resume_at = self
                     .fetch_resume_at
@@ -438,19 +588,29 @@ impl Pipeline {
     }
 
     fn fu_arrive(&mut self) {
-        let slot = (self.now % ARRIVAL_HORIZON as u64) as usize;
-        let mut seqs = std::mem::take(&mut self.arrivals[slot]);
-        seqs.sort_unstable(); // oldest first, so producers precede consumers
-        for seq in seqs {
-            self.process_arrival(seq);
+        let bucket = (self.now % ARRIVAL_HORIZON as u64) as usize;
+        let mut slot = std::mem::replace(&mut self.arrivals[bucket], NIL);
+        while slot != NIL {
+            let next = self.rob[slot as usize].link;
+            self.process_arrival(slot as usize);
+            slot = next;
         }
     }
 
-    fn process_arrival(&mut self, seq: u64) {
-        let Some(e) = self.entry(seq) else { return };
-        if !matches!(e.state, ExecState::Scheduled { .. }) {
-            return; // stale arrival from before a replay
-        }
+    /// Sends the op in `slot` back to the issue queue (selective replay).
+    fn replay(&mut self, slot: usize) {
+        let e = &mut self.rob[slot];
+        e.replayed = true;
+        e.requeues = 0;
+        self.set_state(slot, ExecState::Waiting);
+        self.mark_ready(slot);
+        self.stats.replays += 1;
+    }
+
+    fn process_arrival(&mut self, slot: usize) {
+        let e = &self.rob[slot];
+        debug_assert!(matches!(e.state, ExecState::Scheduled { .. }));
+        let seq = e.seq;
         // Determine operand lateness.
         let mut ready_at = 0u64;
         let mut must_replay = false;
@@ -481,74 +641,23 @@ impl Pipeline {
         }
 
         if must_replay {
-            #[cfg(feature = "replay-debug")]
-            {
-                use std::sync::atomic::{AtomicU64, Ordering};
-                static WAITING: AtomicU64 = AtomicU64::new(0);
-                static LATE: AtomicU64 = AtomicU64::new(0);
-                static SHOWN: AtomicU64 = AtomicU64::new(0);
-                if SHOWN.fetch_add(1, Ordering::Relaxed) < 20 {
-                    let e = self.entry(seq).unwrap();
-                    eprint!(
-                        "REPLAY now={} seq={} class={} srcs:",
-                        self.now, seq, e.op.class
-                    );
-                    for src in e.srcs.iter().flatten() {
-                        if let SrcRef::Producer(p) = src {
-                            eprint!(" p{}={:?}", p, self.entry(*p).map(|x| x.state));
-                        } else {
-                            eprint!(" ready");
-                        }
-                    }
-                    eprintln!();
-                }
-                let mut was_waiting = false;
-                let mut late_by = 0;
-                for src in self.entry(seq).unwrap().srcs.iter().flatten() {
-                    match self.actual_ready(*src) {
-                        Err(()) => was_waiting = true,
-                        Ok(t) if t > self.now => late_by = late_by.max(t - self.now),
-                        _ => {}
-                    }
-                }
-                if was_waiting {
-                    WAITING.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    LATE.fetch_add(1, Ordering::Relaxed);
-                }
-                let w = WAITING.load(Ordering::Relaxed);
-                let l = LATE.load(Ordering::Relaxed);
-                if (w + l) % 50_000 == 0 {
-                    eprintln!("replays: waiting={w} late={l} (this late_by={late_by})");
-                }
-            }
-            let e = self.entry_mut(seq).expect("entry exists");
-            e.state = ExecState::Waiting;
-            e.replayed = true;
-            e.requeues = 0;
-            self.stats.replays += 1;
+            self.replay(slot);
             return;
         }
 
         if ready_at > self.now {
             // The load-bypass buffer absorbs the lateness: wait and retry
             // when the value arrives.
-            let (requeues, first_stall) = {
-                let e = self.entry_mut(seq).expect("entry exists");
-                let first = !e.bypass_counted;
-                e.bypass_counted = true;
-                e.requeues += 1;
-                (e.requeues, first)
-            };
+            let e = &mut self.rob[slot];
+            let first_stall = !e.bypass_counted;
+            e.bypass_counted = true;
+            e.requeues += 1;
+            let requeues = e.requeues;
             if first_stall {
                 self.stats.bypass_stalls += 1;
             }
             if requeues > MAX_REQUEUES {
-                let e = self.entry_mut(seq).expect("entry exists");
-                e.state = ExecState::Waiting;
-                e.replayed = true;
-                e.requeues = 0;
-                self.stats.replays += 1;
+                self.replay(slot);
                 return;
             }
             let retry = ready_at.max(self.now + 1);
@@ -557,17 +666,13 @@ impl Pipeline {
             // dependants' wakeup predictions in step, so a one-cycle delay
             // propagates down the chain as exactly one cycle instead of
             // collapsing into replays.
-            let e = self.entry_mut(seq).expect("entry exists");
-            e.state = ExecState::Scheduled { exec_at: retry };
-            self.arrivals[(retry % ARRIVAL_HORIZON as u64) as usize].push(seq);
+            self.set_state(slot, ExecState::Scheduled { exec_at: retry });
+            self.push_arrival(retry, slot);
             return;
         }
 
         // Operands ready: execute.
-        let (class, addr) = {
-            let e = self.entry(seq).expect("entry exists");
-            (e.op.class, e.op.addr)
-        };
+        let (class, addr) = (self.rob[slot].op.class, self.rob[slot].op.addr);
         let mut announce_at = None;
         let done_at = match class {
             OpClass::Load => {
@@ -604,10 +709,15 @@ impl Pipeline {
             }
             c => self.now + u64::from(c.exec_latency()),
         };
-        let e = self.entry_mut(seq).expect("entry exists");
-        e.state = ExecState::Executing { done_at };
-        e.announce_at = announce_at;
-        self.completions[(done_at % COMPLETION_HORIZON as u64) as usize].push(seq);
+        debug_assert!(
+            done_at - self.now < COMPLETION_HORIZON as u64,
+            "a result past the completion horizon would complete early"
+        );
+        self.rob[slot].announce_at = announce_at;
+        self.set_state(slot, ExecState::Executing { done_at });
+        let bucket = (done_at % COMPLETION_HORIZON as u64) as usize;
+        self.rob[slot].link = self.completions[bucket];
+        self.completions[bucket] = slot as u32;
         self.iq_count -= 1;
     }
 
@@ -615,36 +725,52 @@ impl Pipeline {
         let depth = u64::from(self.cfg.sched_to_exec);
         let exec_at = self.now + depth;
         let fu_slot = (exec_at % ARRIVAL_HORIZON as u64) as usize;
-        let mut slots = self.cfg.width;
-        let mut picks: Vec<u64> = Vec::with_capacity(slots);
 
-        'scan: for e in &self.rob {
-            if slots == 0 {
+        // Ops parked until this cycle rejoin the ready set.
+        let bucket = (self.now % COMPLETION_HORIZON as u64) as usize;
+        let due = std::mem::replace(&mut self.timers[bucket], NIL);
+        self.wake_list(due);
+
+        // Visit the ready set oldest first: ROB slots from the head to the
+        // end of the ring, then the wrapped part before the head.
+        self.picks.clear();
+        let mut slots = self.cfg.width;
+        let ring = self.slot_mask as usize + 1;
+        let head = self.slot(self.base_seq);
+        let (mut from, mut end) = (head, ring);
+        while slots > 0 {
+            let Some(slot) = self.next_ready(from, end) else {
+                if end == ring {
+                    (from, end) = (0, head);
+                    continue;
+                }
                 break;
-            }
-            if !matches!(e.state, ExecState::Waiting) {
-                continue;
-            }
-            for src in e.srcs.iter().flatten() {
-                let pred = if e.replayed {
-                    // Post-replay re-issue is non-speculative: wait for the
-                    // producer's value to be definitely on its way.
-                    self.firm_ready(*src)
-                } else {
-                    self.pred_ready(*src)
-                };
-                match pred {
-                    Some(t) if t <= exec_at => {}
-                    _ => continue 'scan,
+            };
+            from = slot + 1;
+            match self.gate(slot, exec_at) {
+                Gate::Open => {
+                    let fu = FuClass::of(self.rob[slot].op.class) as usize;
+                    if self.fu_reserved[fu_slot][fu] >= self.fu_limits[fu] {
+                        continue;
+                    }
+                    self.fu_reserved[fu_slot][fu] += 1;
+                    self.clear_ready(slot);
+                    self.picks.push(slot as u32);
+                    slots -= 1;
+                }
+                Gate::Producer(producer) => {
+                    self.clear_ready(slot);
+                    self.rob[slot].link = self.rob[producer].wakers;
+                    self.rob[producer].wakers = slot as u32;
+                }
+                Gate::Until(cycle) => {
+                    self.clear_ready(slot);
+                    let cycle = cycle.clamp(self.now + 1, self.now + COMPLETION_HORIZON as u64 - 1);
+                    let bucket = (cycle % COMPLETION_HORIZON as u64) as usize;
+                    self.rob[slot].link = self.timers[bucket];
+                    self.timers[bucket] = slot as u32;
                 }
             }
-            let fu = FuClass::of(e.op.class) as usize;
-            if self.fu_reserved[fu_slot][fu] >= self.fu_limits[fu] {
-                continue;
-            }
-            self.fu_reserved[fu_slot][fu] += 1;
-            picks.push(e.seq);
-            slots -= 1;
         }
 
         // Clear the reservation slot that just expired (one past the
@@ -654,11 +780,11 @@ impl Pipeline {
             self.fu_reserved[expired] = [0; FuClass::COUNT];
         }
 
-        for seq in picks {
-            let e = self.entry_mut(seq).expect("picked entries exist");
-            e.state = ExecState::Scheduled { exec_at };
-            e.bypass_counted = false;
-            self.arrivals[fu_slot].push(seq);
+        for i in 0..self.picks.len() {
+            let slot = self.picks[i] as usize;
+            self.rob[slot].bypass_counted = false;
+            self.set_state(slot, ExecState::Scheduled { exec_at });
+            self.push_arrival(exec_at, slot);
         }
     }
 
@@ -667,7 +793,7 @@ impl Pipeline {
             let Some((op, _)) = self.fetch_q.front() else {
                 break;
             };
-            if self.rob.len() >= self.cfg.rob_size || self.iq_count >= self.cfg.iq_size {
+            if self.rob_len() >= self.cfg.rob_size || self.iq_count >= self.cfg.iq_size {
                 self.stats.dispatch_stalls += 1;
                 break;
             }
@@ -694,7 +820,7 @@ impl Pipeline {
                 self.lsq_count += 1;
             }
             self.iq_count += 1;
-            self.rob.push_back(Entry {
+            let entry = Entry {
                 op,
                 seq,
                 srcs,
@@ -704,7 +830,16 @@ impl Pipeline {
                 resolves_fetch: mispredicted,
                 replayed: false,
                 announce_at: None,
-            });
+                link: NIL,
+                wakers: NIL,
+            };
+            let slot = self.slot(seq);
+            if slot == self.rob.len() {
+                self.rob.push(entry); // the ring's first lap
+            } else {
+                self.rob[slot] = entry;
+            }
+            self.mark_ready(slot);
         }
     }
 
@@ -764,8 +899,178 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use yac_cache::HierarchyConfig;
     use yac_workload::{spec2000, TraceGenerator};
+
+    impl Pipeline {
+        /// The reference scheduler: scans the whole ROB oldest first and
+        /// picks each waiting op whose operands are (predicted) ready and
+        /// whose functional unit is free, up to the machine width. Returns
+        /// the sequence numbers it would pick this cycle.
+        fn reference_picks(&self) -> Vec<u64> {
+            let exec_at = self.now + u64::from(self.cfg.sched_to_exec);
+            let fu_slot = (exec_at % ARRIVAL_HORIZON as u64) as usize;
+            let mut reserved = self.fu_reserved[fu_slot];
+            let mut slots = self.cfg.width;
+            let mut picks = Vec::new();
+            'scan: for seq in self.base_seq..self.next_seq {
+                if slots == 0 {
+                    break;
+                }
+                let e = &self.rob[self.slot(seq)];
+                if !matches!(e.state, ExecState::Waiting) {
+                    continue;
+                }
+                for src in e.srcs.iter().flatten() {
+                    let pred = if e.replayed {
+                        self.firm_ready(*src)
+                    } else {
+                        self.pred_ready(*src)
+                    };
+                    match pred {
+                        Some(t) if t <= exec_at => {}
+                        _ => continue 'scan,
+                    }
+                }
+                let fu = FuClass::of(e.op.class) as usize;
+                if reserved[fu] >= self.fu_limits[fu] {
+                    continue;
+                }
+                reserved[fu] += 1;
+                picks.push(seq);
+                slots -= 1;
+            }
+            picks
+        }
+
+        /// One cycle of [`Pipeline::step`], asserting that the scheduler
+        /// picks exactly what the reference scheduler picks.
+        fn step_against_reference(&mut self, trace: &mut impl Iterator<Item = MicroOp>) {
+            self.commit();
+            self.complete();
+            self.fu_arrive();
+            let expected = self.reference_picks();
+            self.schedule();
+            let picked: Vec<u64> = self
+                .picks
+                .iter()
+                .map(|&slot| self.rob[slot as usize].seq)
+                .collect();
+            assert_eq!(picked, expected, "picks differ at cycle {}", self.now);
+            self.dispatch();
+            self.fetch(trace);
+            self.now += 1;
+            self.stats.cycles += 1;
+        }
+    }
+
+    /// `(class, src0, src1, dest, address selector, taken)`.
+    type RawOp = (u8, Option<u8>, Option<u8>, Option<u8>, u64, bool);
+
+    /// Builds the `i`-th op of a random trace. Half the ops are loads and
+    /// stores, and registers come from a small pool, so dependences are
+    /// dense. Half the memory ops touch two words that loads and stores
+    /// share (forwarding, aliasing); the rest stream through fresh lines
+    /// (misses, replays, MSHR queueing).
+    fn random_op(i: usize, (class, src0, src1, dest, addr_sel, taken): RawOp) -> MicroOp {
+        const CLASSES: [OpClass; 12] = [
+            OpClass::IntAlu,
+            OpClass::IntMul,
+            OpClass::FpAdd,
+            OpClass::FpMul,
+            OpClass::FpDiv,
+            OpClass::Branch,
+            OpClass::Load,
+            OpClass::Load,
+            OpClass::Load,
+            OpClass::Store,
+            OpClass::Store,
+            OpClass::Store,
+        ];
+        let class = CLASSES[usize::from(class) % CLASSES.len()];
+        let addr = class.is_mem().then(|| {
+            if addr_sel % 2 == 0 {
+                0x4000_0000 + (addr_sel % 4) * 4
+            } else {
+                0x6000_0000 + (addr_sel % 512) * 64 + i as u64 * 4096
+            }
+        });
+        MicroOp {
+            pc: 0x1000 + (i as u64 % 48) * 4,
+            class,
+            srcs: [src0, src1],
+            dest: match class {
+                OpClass::Store | OpClass::Branch => None,
+                _ => dest,
+            },
+            addr,
+            taken: (class == OpClass::Branch).then_some(taken),
+        }
+    }
+
+    /// `(width, rob, sched_to_exec, bypass_depth, assumed load latency,
+    /// mshrs, store forwarding, int ALUs, memory ports)`.
+    type RawCfg = ((usize, usize, u32, u32), (u32, usize, bool, usize, usize));
+
+    fn random_config(
+        ((width, rob, depth, bypass), (assumed, mshrs, fwd, alus, ports)): RawCfg,
+    ) -> PipelineConfig {
+        let mut cfg = PipelineConfig::paper();
+        cfg.width = width;
+        cfg.rob_size = [4, 8, 12, 24, 100, 256][rob];
+        cfg.iq_size = cfg.rob_size - cfg.rob_size / 4;
+        cfg.lsq_size = cfg.rob_size / 2;
+        cfg.sched_to_exec = depth;
+        cfg.bypass_depth = bypass;
+        cfg.assumed_load_latency = assumed;
+        cfg.mshrs = mshrs;
+        cfg.store_forwarding = fwd;
+        cfg.int_alu = alus;
+        cfg.mem_ports = ports;
+        cfg
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn scheduler_picks_match_the_full_rob_scan(
+            raw_cfg in (
+                (1usize..5, 0usize..6, 1u32..9, 0u32..3),
+                (4u32..6, 0usize..4, any::<bool>(), 1usize..4, 1usize..3),
+            ),
+            way_latency in prop::collection::vec(4u32..7, 4..5),
+            raw_ops in prop::collection::vec(
+                (
+                    0u8..12,
+                    prop::option::of(0u8..6),
+                    prop::option::of(0u8..6),
+                    prop::option::of(0u8..6),
+                    0u64..4096,
+                    any::<bool>(),
+                ),
+                1..600,
+            ),
+        ) {
+            let cfg = random_config(raw_cfg);
+            let mut hier = HierarchyConfig::paper();
+            hier.l1d.way_latency = way_latency;
+            let mut pipe = cpu(cfg, hier);
+            let ops: Vec<MicroOp> = raw_ops
+                .into_iter()
+                .enumerate()
+                .map(|(i, raw)| random_op(i, raw))
+                .collect();
+            let n = ops.len() as u64;
+            let mut trace = ops.into_iter();
+            while !(pipe.trace_done && pipe.rob_len() == 0 && pipe.fetch_q.is_empty()) {
+                pipe.step_against_reference(&mut trace);
+                prop_assert!(pipe.now < 200_000, "no progress");
+            }
+            prop_assert_eq!(pipe.total_committed, n);
+        }
+    }
 
     fn cpu(cfg: PipelineConfig, hier: HierarchyConfig) -> Pipeline {
         Pipeline::new(cfg, MemoryHierarchy::new(hier).unwrap()).unwrap()
