@@ -1020,8 +1020,7 @@ fn main() -> ExitCode {
             };
             let mut connect = None;
             let mut out = None;
-            loop {
-                let Some(flag) = it.next() else { break };
+            while let Some(flag) = it.next() {
                 let Some(value) = it.next() else {
                     eprintln!("yac-serve: {mode}: {flag} requires a value");
                     return ExitCode::FAILURE;

@@ -323,7 +323,7 @@ pub fn full_study(chips: usize, seed: u64) -> FullStudy {
 
 /// Builds the complete yield study (Tables 2–5) from an
 /// already-generated population — the shared tail of [`full_study`] and
-/// [`full_study_workers`].
+/// [`full_study_supervised`].
 ///
 /// # Panics
 ///
@@ -343,7 +343,9 @@ pub fn study_from_population(population: &Population, seed: u64) -> FullStudy {
 }
 
 /// [`full_study`] on the supervised parallel executor
-/// ([`crate::executor::run_supervised`]) with `workers` threads.
+/// ([`crate::executor::run_supervised`]), with an explicit configuration
+/// and executor so retry budgets, shard sizes and deadlines (and, in
+/// tests, fault plans) can be tuned.
 ///
 /// The result is identical — bit-for-bit — to [`full_study`] for any
 /// worker count, because every chip is sampled from its own
@@ -357,28 +359,9 @@ pub fn study_from_population(population: &Population, seed: u64) -> FullStudy {
 /// study of the full population, so a partial one is an error, never a
 /// silently shrunken denominator. Callers that can work with a partial
 /// result should use [`crate::executor::run_supervised`] and inspect
-/// the outcome's degraded map.
-pub fn full_study_workers(
-    chips: usize,
-    seed: u64,
-    workers: usize,
-) -> Result<FullStudy, crate::StudyError> {
-    let mut cfg = crate::chip::PopulationConfig::paper(seed);
-    cfg.chips = chips;
-    let exec = crate::executor::ExecutorConfig::with_workers(workers);
-    full_study_supervised(&cfg, &exec)
-}
-
-/// [`full_study_workers`] with an explicit configuration and executor —
-/// the underlying entry point, exposed so retry budgets, shard sizes and
-/// deadlines (and, in tests, fault plans) can be tuned.
-///
-/// # Errors
-///
-/// As [`full_study_workers`]: any degraded shard is
-/// [`crate::StudyError::Degraded`], and a population left empty by
-/// quarantine is [`crate::StudyError::Mismatch`] (no constraints can be
-/// derived from it).
+/// the outcome's degraded map. A population left empty by quarantine is
+/// [`crate::StudyError::Mismatch`] (no constraints can be derived from
+/// it).
 pub fn full_study_supervised(
     config: &crate::chip::PopulationConfig,
     exec: &crate::executor::ExecutorConfig,

@@ -1,29 +1,25 @@
 //! Checkpoint/resume for long population studies.
 //!
 //! The paper's studies evaluate 2000 chips; a killed run should not have
-//! to recompute the chips it already finished. [`run_checkpointed`]
-//! writes the completed chip evaluations (and the quarantine ledger) to a
-//! plain-text checkpoint file every `every` chips, and a later call with
-//! the same configuration and path resumes from the highest completed
-//! index.
+//! to recompute the chips it already finished. The supervised executor's
+//! checkpointing entry point
+//! ([`crate::executor::run_checkpointed_workers`]) persists its progress
+//! in the plain-text format defined here, one record per completed
+//! shard, and a later call with the same configuration and path resumes
+//! without recomputing finished shards.
 //!
 //! The format stores every `f64` as the 16-hex-digit image of its IEEE
 //! bits, so a resumed run's population — and therefore every report
 //! rendered from it — is byte-identical to an uninterrupted run's.
-//! Chips are computed per-index from the same SplitMix64 stream as
-//! [`crate::Population::generate_with`], with the same fault isolation.
 //!
-//! # Format v2
+//! # Format (`YAC-CHECKPOINT v2`)
 //!
-//! Version 2 (written by everything since the supervised executor landed)
-//! extends v1 in two ways, and v1 files still parse:
-//!
-//! * **Shard records.** `S start len` marks a completed shard and
-//!   `D start len attempts error` a degraded one, so a killed *parallel*
-//!   run ([`crate::executor::run_checkpointed_workers`]) resumes at shard
-//!   granularity without recomputing finished shards. For shard-granular
-//!   checkpoints `done` counts the chips covered by recorded shards (not
-//!   necessarily a contiguous prefix).
+//! * **Header.** The magic line, then `seed`, `chips` and `done` (the
+//!   chips covered by recorded shards, not necessarily a contiguous
+//!   prefix).
+//! * **Records.** `C index …` holds one evaluated chip, `Q index seed
+//!   error` one quarantined chip, `S start len` a completed shard and
+//!   `D start len attempts error` a degraded one.
 //! * **A CRC32 trailer.** The final line `CRC xxxxxxxx` holds the IEEE
 //!   CRC32 of every preceding byte (up to and including the `END` line's
 //!   newline); [`parse_checkpoint`] verifies it, so a torn write or
@@ -31,44 +27,44 @@
 //!   resuming from silently wrong state. The temp file is `sync_all`ed
 //!   before the rename, making the write-then-rename durable.
 
-use crate::chip::{evaluate_isolated, ChipSample, Population, PopulationConfig};
+use crate::chip::{ChipSample, PopulationConfig};
 use crate::quarantine::QuarantineLedger;
 use std::fmt;
 use std::path::Path;
 use yac_circuit::{CacheCircuitResult, WayCircuitResult};
-use yac_variation::{ConfigError, MonteCarlo};
+use yac_variation::ConfigError;
 
 /// Format version tag; bump when the line layout changes.
 const MAGIC: &str = "YAC-CHECKPOINT v2";
-/// The previous format (no shard records, no CRC trailer); still parsed.
-const MAGIC_V1: &str = "YAC-CHECKPOINT v1";
 
-/// An error from the checkpointed-study machinery.
+/// An error from a study or from one of the files it persists to: a
+/// study checkpoint, a sweep journal or a persisted result cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StudyError {
-    /// The checkpoint file could not be read or written.
+    /// A file could not be read or written.
     Io {
         /// The path involved.
         path: String,
         /// The underlying I/O error message.
         message: String,
     },
-    /// The checkpoint file does not parse (or fails its CRC).
+    /// A file does not parse (or fails its CRC).
     Corrupt {
         /// 1-based line number of the offending line.
         line: usize,
         /// What was wrong with it.
         what: String,
     },
-    /// The checkpoint belongs to a different study (seed, chip count or
-    /// shard layout disagree with the configuration).
+    /// A file belongs to a different study (seed, chip count, shard
+    /// layout or grid disagree with the configuration), or the study
+    /// cannot be built from what it holds.
     Mismatch(String),
     /// The study configuration itself is invalid.
     Config(ConfigError),
     /// A supervised run degraded: some shards exhausted their retry
     /// budget, so the population covers only part of the requested
     /// chips. Raised by entry points that promise a *full* study
-    /// ([`crate::analysis::full_study_workers`]); callers that can use a
+    /// ([`crate::analysis::full_study_supervised`]); callers that can use a
     /// partial result should call
     /// [`crate::executor::run_supervised`] and inspect
     /// [`crate::executor::StudyOutcome::degraded`] instead.
@@ -83,11 +79,11 @@ pub enum StudyError {
 impl fmt::Display for StudyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StudyError::Io { path, message } => write!(f, "checkpoint {path}: {message}"),
+            StudyError::Io { path, message } => write!(f, "I/O error on {path}: {message}"),
             StudyError::Corrupt { line, what } => {
-                write!(f, "corrupt checkpoint at line {line}: {what}")
+                write!(f, "corrupt file at line {line}: {what}")
             }
-            StudyError::Mismatch(what) => write!(f, "checkpoint mismatch: {what}"),
+            StudyError::Mismatch(what) => write!(f, "mismatch: {what}"),
             StudyError::Config(e) => write!(f, "invalid study configuration: {e}"),
             StudyError::Degraded { missing, requested } => write!(
                 f,
@@ -125,23 +121,23 @@ pub struct ShardRecord {
     pub status: ShardStatus,
 }
 
-/// The persisted state of a partially completed study.
+/// The state of a partially completed study: what every supervised run
+/// merges its shard results into (see
+/// [`crate::executor::run_supervised`]), and what a checkpoint persists.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointState {
     /// The study seed.
     pub seed: u64,
     /// The total chip count the study was asked for.
     pub chips: usize,
-    /// Chips accounted for so far. Chip-granular (serial) checkpoints
-    /// have computed the contiguous prefix `0..done`; shard-granular ones
-    /// count the chips covered by [`CheckpointState::shards`].
+    /// Chips covered by [`CheckpointState::shards`], completed or
+    /// degraded.
     pub done: usize,
     /// Completed chip evaluations, ascending by index.
     pub completed: Vec<ChipSample>,
     /// Chips quarantined so far.
     pub quarantine: QuarantineLedger,
-    /// Shard outcomes of a supervised parallel run, ascending by start
-    /// index. Empty for chip-granular (serial) checkpoints.
+    /// Shard outcomes, ascending by start index.
     pub shards: Vec<ShardRecord>,
 }
 
@@ -153,7 +149,7 @@ impl CheckpointState {
             seed,
             chips,
             done: 0,
-            completed: Vec::new(),
+            completed: Vec::with_capacity(chips),
             quarantine: QuarantineLedger::new(),
             shards: Vec::new(),
         }
@@ -353,29 +349,26 @@ fn split_crc_trailer(text: &str) -> Result<&str, StudyError> {
 
 /// Parses the checkpoint text format back into a state.
 ///
-/// Both the current v2 format (with shard records and a CRC32 trailer)
-/// and the legacy v1 format are accepted.
-///
 /// # Errors
 ///
 /// Returns [`StudyError::Corrupt`] naming the offending line — including
-/// a failed CRC check, which rejects torn or bit-rotted v2 files.
+/// a bad magic line (line 1) and a failed CRC check, which rejects torn
+/// or bit-rotted files.
 pub fn parse_checkpoint(text: &str) -> Result<CheckpointState, StudyError> {
     let magic = text.lines().next().ok_or(StudyError::Corrupt {
         line: 1,
         what: "empty file".to_string(),
     })?;
-    match magic {
-        MAGIC => parse_body(split_crc_trailer(text)?, 2),
-        MAGIC_V1 => parse_body(text, 1),
-        _ => Err(StudyError::Corrupt {
+    if magic != MAGIC {
+        return Err(StudyError::Corrupt {
             line: 1,
             what: "bad magic".to_string(),
-        }),
+        });
     }
+    parse_body(split_crc_trailer(text)?)
 }
 
-fn parse_body(text: &str, version: u8) -> Result<CheckpointState, StudyError> {
+fn parse_body(text: &str) -> Result<CheckpointState, StudyError> {
     let mut lines = text.lines().enumerate();
     let corrupt = |line: usize, what: &str| StudyError::Corrupt {
         line,
@@ -443,8 +436,7 @@ fn parse_body(text: &str, version: u8) -> Result<CheckpointState, StudyError> {
             // when first quarantined; re-parsing the checkpoint on resume
             // must not count them again.
             state.quarantine.record_unobserved(index, q_seed, error);
-        } else if version >= 2 && l.starts_with("S ") {
-            let rest = &l[2..];
+        } else if let Some(rest) = l.strip_prefix("S ") {
             let mut tokens = rest.split_ascii_whitespace();
             let start = take(&mut tokens, line)?
                 .parse()
@@ -458,8 +450,7 @@ fn parse_body(text: &str, version: u8) -> Result<CheckpointState, StudyError> {
                 len,
                 status: ShardStatus::Done,
             });
-        } else if version >= 2 && l.starts_with("D ") {
-            let rest = &l[2..];
+        } else if let Some(rest) = l.strip_prefix("D ") {
             let mut tokens = rest.splitn(4, ' ');
             let start = take(&mut tokens, line)?
                 .parse()
@@ -574,103 +565,15 @@ pub(crate) fn load_or_fresh(
     }
 }
 
-/// Advances `state` by at most `budget` chips, with the same per-chip
-/// fault isolation as [`Population::generate_with`].
-fn advance(state: &mut CheckpointState, config: &PopulationConfig, mc: &MonteCarlo, budget: usize) {
-    let end = state.chips.min(state.done + budget);
-    for index in state.done as u64..end as u64 {
-        match mc.sample_one_checked(config.seed, index, config.faults.as_ref()) {
-            Ok(die) => match evaluate_isolated(config, &die) {
-                Ok((regular, horizontal)) => state.completed.push(ChipSample {
-                    index,
-                    regular,
-                    horizontal,
-                }),
-                Err(error) => state.quarantine.record(index, config.seed, error),
-            },
-            Err(error) => state
-                .quarantine
-                .record(index, config.seed, error.to_string()),
-        }
-    }
-    state.done = end;
-}
-
-fn into_population(state: CheckpointState, config: &PopulationConfig) -> Population {
-    Population::from_parts(
-        state.completed,
-        state.quarantine,
-        *config.regular_model.calibration(),
-        state.seed,
-    )
-}
-
-/// Runs (or resumes) a checkpointed population study to completion,
-/// persisting progress to `path` every `every` chips.
-///
-/// # Errors
-///
-/// Returns a [`StudyError`] if the checkpoint cannot be read, parsed or
-/// written, belongs to a different study, or the variation configuration
-/// is invalid ([`StudyError::Config`]).
-pub fn run_checkpointed(
-    config: &PopulationConfig,
-    path: &Path,
-    every: usize,
-) -> Result<Population, StudyError> {
-    run_checkpointed_budget(config, path, every, None)
-        .map(|p| p.expect("unbounded run always completes"))
-}
-
-/// Like [`run_checkpointed`] but computing at most `max_new_chips` new
-/// chips in this call; returns `Ok(None)` if the study is still
-/// incomplete afterwards (the checkpoint holds the progress).
-///
-/// A bounded call is how tests simulate a killed run; driving it with
-/// `None` completes the study.
-///
-/// # Errors
-///
-/// Returns a [`StudyError`] if the checkpoint cannot be read, parsed or
-/// written, belongs to a different study (including a shard-granular
-/// checkpoint from a supervised parallel run, which must be resumed with
-/// [`crate::executor::run_checkpointed_workers`]), or the variation
-/// configuration is invalid ([`StudyError::Config`]).
-pub fn run_checkpointed_budget(
-    config: &PopulationConfig,
-    path: &Path,
-    every: usize,
-    max_new_chips: Option<usize>,
-) -> Result<Option<Population>, StudyError> {
-    let every = every.max(1);
-    let mc = MonteCarlo::try_new(config.variation).map_err(StudyError::Config)?;
-    let mut state = load_or_fresh(path, config)?;
-    if !state.shards.is_empty() {
-        return Err(StudyError::Mismatch(
-            "checkpoint is shard-granular (written by a supervised parallel \
-             run); resume it with run_checkpointed_workers"
-                .into(),
-        ));
-    }
-    let mut remaining = max_new_chips.unwrap_or(usize::MAX);
-    while !state.is_complete() && remaining > 0 {
-        let step = every.min(remaining);
-        advance(&mut state, config, &mc, step);
-        remaining -= step.min(remaining);
-        write_state(path, &state)?;
-    }
-    if state.is_complete() {
-        Ok(Some(into_population(state, config)))
-    } else {
-        Ok(None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::table2;
+    use crate::chip::Population;
     use crate::constraints::{ConstraintSpec, YieldConstraints};
+    use crate::executor::{
+        run_checkpointed_workers, run_checkpointed_workers_budget, ExecutorConfig,
+    };
     use crate::report::render_loss_table;
     use yac_variation::FaultPlan;
 
@@ -686,6 +589,23 @@ mod tests {
         cfg
     }
 
+    /// The serial checkpointed study: one worker, `shard_chips`-chip
+    /// shards.
+    fn serial(shard_chips: usize) -> ExecutorConfig {
+        let mut exec = ExecutorConfig::with_workers(1);
+        exec.shard_chips = shard_chips;
+        exec
+    }
+
+    /// A state holding every chip of `cfg`, computed by the serial
+    /// reference path.
+    fn computed_state(cfg: &PopulationConfig) -> CheckpointState {
+        let mut state = CheckpointState::fresh(cfg.seed, cfg.chips);
+        state.completed = Population::generate_with(cfg).chips;
+        state.done = cfg.chips;
+        state
+    }
+
     #[test]
     fn crc32_matches_the_standard_check_value() {
         // The IEEE CRC32 check value for "123456789" (ITU-T V.42 / zlib).
@@ -695,10 +615,7 @@ mod tests {
 
     #[test]
     fn checkpoint_text_roundtrips_exactly() {
-        let cfg = small_config(6, 11);
-        let mc = MonteCarlo::new(cfg.variation);
-        let mut state = CheckpointState::fresh(11, 6);
-        advance(&mut state, &cfg, &mc, 6);
+        let mut state = computed_state(&small_config(6, 11));
         state.quarantine.record(99, 11, "synthetic entry".into());
         state.shards.push(ShardRecord {
             start: 0,
@@ -718,27 +635,6 @@ mod tests {
         assert_eq!(parsed, state);
         // Byte-identical re-render: the format is canonical.
         assert_eq!(render_checkpoint(&parsed), text);
-    }
-
-    #[test]
-    fn v1_checkpoints_still_parse() {
-        let cfg = small_config(4, 11);
-        let mc = MonteCarlo::new(cfg.variation);
-        let mut state = CheckpointState::fresh(11, 4);
-        advance(&mut state, &cfg, &mc, 4);
-        // Reconstruct the v1 text: v2 body minus the CRC trailer, with
-        // the old magic.
-        let v2 = render_checkpoint(&state);
-        let body = split_crc_trailer(&v2).unwrap();
-        let v1 = body.replacen(MAGIC, MAGIC_V1, 1);
-        let parsed = parse_checkpoint(&v1).unwrap();
-        assert_eq!(parsed, state);
-        // ... but v1 must not smuggle in v2 shard records.
-        let with_shard = v1.replace("END\n", "S 0 4\nEND\n");
-        assert!(matches!(
-            parse_checkpoint(&with_shard),
-            Err(StudyError::Corrupt { .. })
-        ));
     }
 
     #[test]
@@ -767,10 +663,7 @@ mod tests {
 
     #[test]
     fn single_bit_rot_fails_the_crc() {
-        let cfg = small_config(3, 19);
-        let mc = MonteCarlo::new(cfg.variation);
-        let mut state = CheckpointState::fresh(19, 3);
-        advance(&mut state, &cfg, &mc, 3);
+        let state = computed_state(&small_config(3, 19));
         let good = render_checkpoint(&state);
         assert!(parse_checkpoint(&good).is_ok());
         // Flip one hex digit inside a chip record. The line still parses
@@ -792,7 +685,9 @@ mod tests {
         let cfg = small_config(40, 5);
         let path = tmp_path("fresh.ckpt");
         let _ = std::fs::remove_file(&path);
-        let pop = run_checkpointed(&cfg, &path, 16).unwrap();
+        let pop = run_checkpointed_workers(&cfg, &serial(16), &path, 1)
+            .unwrap()
+            .population;
         let direct = Population::generate_with(&cfg);
         assert_eq!(pop.chips, direct.chips);
         assert_eq!(pop.quarantine(), direct.quarantine());
@@ -810,10 +705,12 @@ mod tests {
         // Uninterrupted reference run (no checkpoint file involved).
         let reference = Population::generate_with(&cfg);
 
-        // "Kill" the study after 35 chips, then resume it.
-        let partial = run_checkpointed_budget(&cfg, &path, 10, Some(35)).unwrap();
+        // "Kill" the study after 35 chips (7 shards), then resume it.
+        let partial = run_checkpointed_workers_budget(&cfg, &serial(5), &path, 2, Some(7)).unwrap();
         assert!(partial.is_none(), "study must not be complete yet");
-        let resumed = run_checkpointed(&cfg, &path, 10).unwrap();
+        let resumed = run_checkpointed_workers(&cfg, &serial(5), &path, 2)
+            .unwrap()
+            .population;
 
         assert_eq!(resumed.chips, reference.chips);
         assert_eq!(resumed.quarantine(), reference.quarantine());
@@ -829,15 +726,15 @@ mod tests {
         let cfg = small_config(12, 7);
         let path = tmp_path("mismatch.ckpt");
         let _ = std::fs::remove_file(&path);
-        let _ = run_checkpointed_budget(&cfg, &path, 4, Some(4)).unwrap();
+        let _ = run_checkpointed_workers_budget(&cfg, &serial(4), &path, 1, Some(1)).unwrap();
         let other_seed = small_config(12, 8);
         assert!(matches!(
-            run_checkpointed(&other_seed, &path, 4),
+            run_checkpointed_workers(&other_seed, &serial(4), &path, 1),
             Err(StudyError::Mismatch(_))
         ));
         let other_count = small_config(13, 7);
         assert!(matches!(
-            run_checkpointed(&other_count, &path, 4),
+            run_checkpointed_workers(&other_count, &serial(4), &path, 1),
             Err(StudyError::Mismatch(_))
         ));
         let _ = std::fs::remove_file(&path);
@@ -849,8 +746,35 @@ mod tests {
         cfg.variation.ways = 0;
         let path = tmp_path("invalid-config.ckpt");
         let _ = std::fs::remove_file(&path);
-        let err = run_checkpointed(&cfg, &path, 4).unwrap_err();
+        let err = run_checkpointed_workers(&cfg, &serial(4), &path, 1).unwrap_err();
         assert!(matches!(err, StudyError::Config(_)), "got {err}");
         assert!(!path.exists(), "no checkpoint may be written");
+    }
+
+    #[test]
+    fn error_messages_do_not_name_a_file_kind() {
+        // The same errors come from checkpoints, sweep journals and the
+        // persisted result cache; the caller's prefix names the file.
+        let io = StudyError::Io {
+            path: "run.journal".into(),
+            message: "permission denied".into(),
+        };
+        assert_eq!(
+            io.to_string(),
+            "I/O error on run.journal: permission denied"
+        );
+        let corrupt = StudyError::Corrupt {
+            line: 3,
+            what: "bad seed".into(),
+        };
+        assert_eq!(corrupt.to_string(), "corrupt file at line 3: bad seed");
+        let mismatch = StudyError::Mismatch("sweep journal belongs to a different grid".into());
+        assert_eq!(
+            mismatch.to_string(),
+            "mismatch: sweep journal belongs to a different grid"
+        );
+        for e in [io, corrupt, mismatch] {
+            assert!(!e.to_string().contains("checkpoint"), "{e}");
+        }
     }
 }

@@ -24,17 +24,22 @@
 //! computed it, in what order, or after how many retries. Workers return
 //! whole shards; the supervisor splices each shard into the merged chip
 //! vector at its sorted position and the quarantine ledger keeps itself
-//! ordered by index, so the merged population is **bit-identical to the
-//! serial path for any worker count**, including runs with injected
-//! faults and retries.
+//! ordered by index, so the merged population is **bit-identical to
+//! [`Population::generate_with`] for any worker count**, including runs
+//! with injected faults and retries.
 //!
-//! # Shard-granular checkpointing
+//! # One runner
 //!
-//! [`run_checkpointed_workers`] persists progress in the v2
-//! `YAC-CHECKPOINT` format after every completed shard batch: finished
-//! shards are recorded as `S` lines and degraded ones as `D` lines, so a
-//! killed parallel run resumes without recomputing finished shards and
-//! its final population round-trips bit-exactly.
+//! Every population study — [`run_supervised`], the checkpointed
+//! [`run_checkpointed_workers`] and the sweep service's queries — runs
+//! its shards through one attempt loop (`run_shard`) and merges their
+//! reports through one accumulator ([`CheckpointState`]'s `accept`
+//! and `into_outcome`). Checkpointing only adds persistence:
+//! [`run_checkpointed_workers`] writes the accumulator in the
+//! `YAC-CHECKPOINT v2` format after every `every` shards (finished
+//! shards as `S` lines, degraded ones as `D` lines), so a killed run
+//! resumes without recomputing finished shards and its final population
+//! round-trips bit-exactly. With one worker it is the serial job.
 
 use crate::checkpoint::{
     load_or_fresh, write_state, CheckpointState, ShardRecord, ShardStatus, StudyError,
@@ -218,12 +223,24 @@ pub(crate) enum ShardMsg {
         spec: ShardSpec,
         chips: Vec<ChipSample>,
         quarantine: QuarantineLedger,
+        /// Chips whose die could not be sampled (a subset of
+        /// `quarantine`, which also holds evaluation failures).
+        sample_failures: usize,
     },
     Degraded {
         spec: ShardSpec,
         attempts: u32,
         error: String,
     },
+}
+
+impl ShardMsg {
+    /// The shard this report is about.
+    pub(crate) fn spec(&self) -> ShardSpec {
+        match self {
+            ShardMsg::Done { spec, .. } | ShardMsg::Degraded { spec, .. } => *spec,
+        }
+    }
 }
 
 /// Per-worker state the deadline watchdog inspects.
@@ -240,16 +257,51 @@ pub(crate) enum ShardMsg {
 struct WorkerWatch {
     started: AtomicU64,
     cancel: AtomicU64,
+    /// Attempts this worker has started. Only the worker itself reads
+    /// or writes it, so `Relaxed` suffices.
+    generation: AtomicU64,
 }
 
-/// One worker thread's fixed identity in the pool: its index (trace
-/// context and track label), its watchdog mailbox, and the pool epoch
-/// its attempt tags are measured from.
+/// The worker a shard runs on: its index (trace context and track
+/// label), its watchdog mailbox with the pool epoch its attempt tags are
+/// measured from (batch pools only — the sweep service runs no
+/// watchdog), and the two cancel sources that withdraw a shard from the
+/// lane without retrying or degrading it. Those are `abort`, the sweep
+/// service's per-query cancel flag (raised when the client disconnects;
+/// the whole query is discarded), and `lease`, the stall sentinel's
+/// cooperative cancel (raised when the lane publishes no progress for a
+/// full budget; the shard has been reassigned to a fresh worker, which
+/// reports it instead).
 #[derive(Clone, Copy)]
-struct WorkerLane<'a> {
+pub(crate) struct WorkerLane<'a> {
     worker: u32,
-    watch: &'a WorkerWatch,
-    epoch: Instant,
+    watch: Option<(&'a WorkerWatch, Instant)>,
+    abort: Option<&'a AtomicBool>,
+    lease: Option<&'a HeartbeatLease<'a>>,
+}
+
+impl<'a> WorkerLane<'a> {
+    /// A sweep-service worker's lane: no watchdog, the query's cancel
+    /// flag and the worker's heartbeat lease.
+    pub(crate) fn served(
+        worker: u32,
+        abort: &'a AtomicBool,
+        lease: &'a HeartbeatLease<'a>,
+    ) -> Self {
+        WorkerLane {
+            worker,
+            watch: None,
+            abort: Some(abort),
+            lease: Some(lease),
+        }
+    }
+
+    /// Whether the query's abort or the sentinel's lease cancel has
+    /// withdrawn the shard from this lane.
+    fn withdrawn(&self) -> bool {
+        self.abort.is_some_and(|a| a.load(Ordering::Relaxed))
+            || self.lease.is_some_and(HeartbeatLease::is_cancelled)
+    }
 }
 
 /// Low bits of an attempt tag carrying the start time (nanos since the
@@ -275,40 +327,31 @@ enum ShardAbort {
     Cancelled,
 }
 
-/// One attempt's cancellation state: the worker's watch, the attempt's
-/// tag (so only a cancel aimed at *this* attempt stops it), its start
-/// time (so the deadline is enforced against the attempt's own clock),
-/// an optional external abort flag (the sweep service's per-query
-/// cancel, raised when a client disconnects) and an optional heartbeat
-/// lease (the stall sentinel's cooperative cancel, raised when the lane
-/// publishes no progress for a full budget).
+/// One attempt's cancellation state: the lane's cancel sources, the
+/// attempt's watchdog tag (so only a cancel aimed at *this* attempt
+/// stops it) and its start time (so the deadline is enforced against the
+/// attempt's own clock).
 struct AttemptGuard<'a> {
-    watch: &'a WorkerWatch,
+    lane: &'a WorkerLane<'a>,
     tag: u64,
     t0: Instant,
-    abort: Option<&'a AtomicBool>,
-    lease: Option<&'a HeartbeatLease<'a>>,
 }
 
 impl AttemptGuard<'_> {
     fn cancelled(&self, deadline: Option<Duration>) -> bool {
-        self.watch.cancel.load(Ordering::Relaxed) == self.tag
+        self.lane
+            .watch
+            .is_some_and(|(watch, _)| watch.cancel.load(Ordering::Relaxed) == self.tag)
             || deadline.is_some_and(|d| self.t0.elapsed() > d)
-            || self.abort.is_some_and(|a| a.load(Ordering::Relaxed))
-            || self.lease.is_some_and(HeartbeatLease::is_cancelled)
+            || self.lane.withdrawn()
     }
 
     /// Publishes one unit of liveness progress (a no-op without a lease).
     fn beat(&self) {
-        if let Some(lease) = self.lease {
+        if let Some(lease) = self.lane.lease {
             lease.beat();
         }
     }
-}
-
-struct ShardPartial {
-    chips: Vec<ChipSample>,
-    quarantine: QuarantineLedger,
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -328,10 +371,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// deterministically. The watchdog's tag-matched cancel request is
 /// honoured as well, as a second trigger for the same cooperative stop.
 ///
-/// Quarantined chips are recorded *unobserved* (no `ChipsQuarantined`
-/// increment): this attempt may yet be cancelled or superseded by a
-/// retry, so the supervisor counts the metric only when it accepts the
-/// shard's result.
+/// Quarantined chips are recorded *unobserved* and sample failures only
+/// tallied (no metric increments): this attempt may yet be cancelled or
+/// superseded by a retry, so the supervisor counts the metrics only when
+/// it accepts the shard's result.
 fn run_shard_once(
     mc: &MonteCarlo,
     config: &PopulationConfig,
@@ -339,7 +382,7 @@ fn run_shard_once(
     spec: ShardSpec,
     attempt: u32,
     guard: &AttemptGuard<'_>,
-) -> Result<ShardPartial, ShardAbort> {
+) -> Result<ShardMsg, ShardAbort> {
     if let Some(faults) = &exec.shard_faults {
         if faults.fails(config.seed, spec.index, attempt) {
             panic!(
@@ -360,6 +403,7 @@ fn run_shard_once(
     }
     let mut chips = Vec::with_capacity(spec.len);
     let mut quarantine = QuarantineLedger::new();
+    let mut sample_failures = 0;
     for index in spec.start..spec.start + spec.len as u64 {
         if guard.cancelled(exec.shard_deadline) {
             return Err(ShardAbort::Cancelled);
@@ -374,10 +418,18 @@ fn run_shard_once(
                 }),
                 Err(error) => quarantine.record_unobserved(index, config.seed, error),
             },
-            Err(error) => quarantine.record_unobserved(index, config.seed, error.to_string()),
+            Err(error) => {
+                sample_failures += 1;
+                quarantine.record_unobserved(index, config.seed, error.to_string());
+            }
         }
     }
-    Ok(ShardPartial { chips, quarantine })
+    Ok(ShardMsg::Done {
+        spec,
+        chips,
+        quarantine,
+        sample_failures,
+    })
 }
 
 /// Runs one shard under supervision: retry on panic or timeout with
@@ -388,150 +440,56 @@ fn run_shard_once(
 /// index, shard index and attempt generation as context, so a trace
 /// export shows exactly how each shard travelled through the
 /// supervisor.
-fn run_shard_supervised(
+///
+/// Returns `None` when the lane's abort or lease cancel withdraws the
+/// shard (see [`WorkerLane`]): that stop is not a failure of the shard,
+/// so it neither retries nor degrades. Without those cancel sources (a
+/// batch pool) the result is always `Some`.
+pub(crate) fn run_shard(
     mc: &MonteCarlo,
     config: &PopulationConfig,
     exec: &ExecutorConfig,
     spec: ShardSpec,
     lane: &WorkerLane<'_>,
-    generation: &mut u64,
-) -> ShardMsg {
-    let WorkerLane {
-        worker,
-        watch,
-        epoch,
-    } = *lane;
+) -> Option<ShardMsg> {
     let mut attempt: u32 = 0;
-    let ctx = |attempt: u32| TraceCtx::shard(worker, spec.index as u32, attempt);
+    let ctx = |attempt: u32| TraceCtx::shard(lane.worker, spec.index as u32, attempt);
     yac_obs::trace_instant(TraceEventKind::ShardDispatched, ctx(0));
     loop {
+        if lane.abort.is_some_and(|a| a.load(Ordering::Relaxed)) {
+            return None;
+        }
         // A fresh generation per attempt means a stale watchdog cancel
         // (tagged with an earlier attempt) can never match this one, so
         // `cancel` needs no clearing — and no clear/store race exists.
-        *generation += 1;
-        let tag = attempt_tag(*generation, epoch.elapsed().as_nanos() as u64);
-        watch.started.store(tag, Ordering::Release);
+        let tag = lane.watch.map_or(0, |(watch, epoch)| {
+            let generation = watch.generation.fetch_add(1, Ordering::Relaxed) + 1;
+            let tag = attempt_tag(generation, epoch.elapsed().as_nanos() as u64);
+            watch.started.store(tag, Ordering::Release);
+            tag
+        });
         let guard = AttemptGuard {
-            watch,
+            lane,
             tag,
             t0: Instant::now(),
-            abort: None,
-            lease: None,
         };
         let exec_span = yac_obs::phase_ctx(Phase::ShardExec, ctx(attempt));
         let result = catch_unwind(AssertUnwindSafe(|| {
             run_shard_once(mc, config, exec, spec, attempt, &guard)
         }));
-        watch.started.store(0, Ordering::Release);
+        if let Some((watch, _)) = lane.watch {
+            watch.started.store(0, Ordering::Release);
+        }
         drop(exec_span);
 
         let error = match result {
-            Ok(Ok(partial)) => {
+            Ok(Ok(done)) => {
                 yac_obs::inc(Metric::ShardsCompleted);
                 yac_obs::trace_instant(TraceEventKind::ShardCompleted, ctx(attempt));
-                return ShardMsg::Done {
-                    spec,
-                    chips: partial.chips,
-                    quarantine: partial.quarantine,
-                };
+                return Some(done);
             }
             Ok(Err(ShardAbort::Cancelled)) => {
-                yac_obs::inc(Metric::ShardTimeouts);
-                yac_obs::trace_instant(TraceEventKind::ShardTimedOut, ctx(attempt));
-                format!(
-                    "shard {} (chips {}..{}) exceeded its deadline on attempt {attempt}",
-                    spec.index,
-                    spec.start,
-                    spec.start + spec.len as u64
-                )
-            }
-            Err(payload) => format!(
-                "shard {} panicked: {}",
-                spec.index,
-                panic_message(&*payload)
-            ),
-        };
-        if attempt >= exec.max_retries {
-            yac_obs::inc(Metric::DegradedShards);
-            yac_obs::trace_instant(TraceEventKind::ShardDegraded, ctx(attempt));
-            return ShardMsg::Degraded {
-                spec,
-                attempts: attempt + 1,
-                error,
-            };
-        }
-        yac_obs::inc(Metric::ShardRetries);
-        yac_obs::trace_instant(TraceEventKind::ShardRetried, ctx(attempt));
-        let backoff = exec.backoff.saturating_mul(1u32 << attempt.min(16));
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
-        attempt += 1;
-    }
-}
-
-/// Runs one shard under full supervision (retry, backoff, deadline,
-/// degrade) on a work-stealing service worker — the sweep service's
-/// counterpart of [`run_shard_supervised`].
-///
-/// Differences from the batch path: the deadline is enforced purely by
-/// the worker's own between-chip clock (the service runs no watchdog
-/// thread), and two cancel sources stop the shard *without* burning
-/// retries, returning `None`: `abort` — the query's cancel flag, raised
-/// when the client disconnects (the supervisor discards the query) —
-/// and `lease` — the stall sentinel's cooperative cancel, raised when
-/// this lane stops heartbeating (the shard has been reassigned to a
-/// fresh worker; this attempt must neither retry nor degrade).
-pub(crate) fn run_shard_stealing(
-    mc: &MonteCarlo,
-    config: &PopulationConfig,
-    exec: &ExecutorConfig,
-    spec: ShardSpec,
-    worker: u32,
-    abort: &AtomicBool,
-    lease: Option<&HeartbeatLease<'_>>,
-) -> Option<ShardMsg> {
-    let watch = WorkerWatch::default();
-    let mut attempt: u32 = 0;
-    let ctx = |attempt: u32| TraceCtx::shard(worker, spec.index as u32, attempt);
-    yac_obs::trace_instant(TraceEventKind::ShardDispatched, ctx(0));
-    loop {
-        if abort.load(Ordering::Relaxed) {
-            return None;
-        }
-        let guard = AttemptGuard {
-            watch: &watch,
-            tag: u64::MAX, // No watchdog: the tag can never be matched.
-            t0: Instant::now(),
-            abort: Some(abort),
-            lease,
-        };
-        let exec_span = yac_obs::phase_ctx(Phase::ShardExec, ctx(attempt));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_shard_once(mc, config, exec, spec, attempt, &guard)
-        }));
-        drop(exec_span);
-
-        let error = match result {
-            Ok(Ok(partial)) => {
-                yac_obs::inc(Metric::ShardsCompleted);
-                yac_obs::trace_instant(TraceEventKind::ShardCompleted, ctx(attempt));
-                return Some(ShardMsg::Done {
-                    spec,
-                    chips: partial.chips,
-                    quarantine: partial.quarantine,
-                });
-            }
-            Ok(Err(ShardAbort::Cancelled)) => {
-                if abort.load(Ordering::Relaxed) {
-                    // Query cancelled, not a deadline: no retry, no
-                    // degrade — the whole query is being discarded.
-                    return None;
-                }
-                if lease.is_some_and(HeartbeatLease::is_cancelled) {
-                    // Sentinel cancel: the shard was reassigned to a
-                    // fresh worker while this lane stalled. Yield the
-                    // lane; the reassigned attempt reports the shard.
+                if lane.withdrawn() {
                     return None;
                 }
                 yac_obs::inc(Metric::ShardTimeouts);
@@ -599,17 +557,16 @@ fn execute_shards(
                 yac_obs::trace_label_thread(&format!("worker-{worker}"));
                 let lane = WorkerLane {
                     worker: worker as u32,
-                    watch,
-                    epoch,
+                    watch: Some((watch, epoch)),
+                    abort: None,
+                    lease: None,
                 };
-                let mut generation = 0u64;
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
+                while !abort.load(Ordering::Relaxed) {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = tasks.get(i) else { break };
-                    let msg = run_shard_supervised(mc, config, exec, *spec, &lane, &mut generation);
+                    let Some(msg) = run_shard(mc, config, exec, *spec, &lane) else {
+                        break;
+                    };
                     if tx.send(msg).is_err() {
                         break;
                     }
@@ -653,43 +610,94 @@ fn execute_shards(
     sink_result
 }
 
-/// Inserts one shard's chips (a contiguous, already-sorted run) into the
-/// merged chip vector at its sorted position.
-pub(crate) fn insert_chips_sorted(completed: &mut Vec<ChipSample>, mut chips: Vec<ChipSample>) {
-    let Some(first) = chips.first() else { return };
-    let at = completed.partition_point(|c| c.index < first.index);
-    completed.splice(at..at, chips.drain(..));
-}
+impl CheckpointState {
+    /// Merges one shard's report into the study: the single place where
+    /// a shard result becomes population state, for batch runs,
+    /// checkpointed runs and the sweep service alike.
+    ///
+    /// The shard's chips are spliced in at their sorted position and its
+    /// record is inserted in start order. The workers record sampling
+    /// and quarantine outcomes unobserved (attempts can be cancelled or
+    /// retried), so the `DiesSampled`, `SampleFailures` and
+    /// `ChipsQuarantined` metrics count each chip once, here, when its
+    /// shard's result is accepted.
+    pub(crate) fn accept(&mut self, msg: ShardMsg) {
+        let (spec, status) = match msg {
+            ShardMsg::Done {
+                spec,
+                mut chips,
+                quarantine,
+                sample_failures,
+            } => {
+                yac_obs::add(Metric::DiesSampled, (spec.len - sample_failures) as u64);
+                yac_obs::add(Metric::SampleFailures, sample_failures as u64);
+                yac_obs::add(Metric::ChipsQuarantined, quarantine.len() as u64);
+                if let Some(first) = chips.first() {
+                    let at = self.completed.partition_point(|c| c.index < first.index);
+                    self.completed.splice(at..at, chips.drain(..));
+                }
+                self.quarantine.absorb(quarantine);
+                (spec, ShardStatus::Done)
+            }
+            ShardMsg::Degraded {
+                spec,
+                attempts,
+                error,
+            } => (spec, ShardStatus::Degraded { attempts, error }),
+        };
+        let at = self.shards.partition_point(|r| r.start < spec.start);
+        self.shards.insert(
+            at,
+            ShardRecord {
+                start: spec.start,
+                len: spec.len,
+                status,
+            },
+        );
+        self.done += spec.len;
+    }
 
-fn insert_shard_record(records: &mut Vec<ShardRecord>, record: ShardRecord) {
-    let at = records.partition_point(|r| r.start < record.start);
-    records.insert(at, record);
-}
-
-/// Builds the outcome: merged population plus a yield interval widened by
-/// the chips the degraded shards failed to deliver.
-pub(crate) fn finish_outcome(
-    population: Population,
-    degraded: Vec<DegradedShard>,
-    requested_chips: usize,
-) -> StudyOutcome {
-    let missing: usize = degraded.iter().map(|d| d.len).sum();
-    let interval = if population.is_empty() {
-        yield_interval(0, 0, missing)
-    } else {
-        let constraints = YieldConstraints::derive(&population, ConstraintSpec::NOMINAL);
-        let lost = population
-            .chips
-            .iter()
-            .filter(|c| classify(&c.regular, &constraints).is_some())
-            .count();
-        yield_interval(population.len() - lost, population.len(), missing)
-    };
-    StudyOutcome {
-        population,
-        degraded,
-        requested_chips,
-        yield_interval: interval,
+    /// Builds the outcome of a finished study: the merged population
+    /// plus a yield interval widened by the chips the degraded shards
+    /// failed to deliver.
+    pub(crate) fn into_outcome(self, config: &PopulationConfig) -> StudyOutcome {
+        let degraded: Vec<DegradedShard> = self
+            .shards
+            .into_iter()
+            .filter_map(|r| match r.status {
+                ShardStatus::Done => None,
+                ShardStatus::Degraded { attempts, error } => Some(DegradedShard {
+                    start: r.start,
+                    len: r.len,
+                    attempts,
+                    error,
+                }),
+            })
+            .collect();
+        let population = Population::from_parts(
+            self.completed,
+            self.quarantine,
+            *config.regular_model.calibration(),
+            self.seed,
+        );
+        let missing: usize = degraded.iter().map(|d| d.len).sum();
+        let interval = if population.is_empty() {
+            yield_interval(0, 0, missing)
+        } else {
+            let constraints = YieldConstraints::derive(&population, ConstraintSpec::NOMINAL);
+            let lost = population
+                .chips
+                .iter()
+                .filter(|c| classify(&c.regular, &constraints).is_some())
+                .count();
+            yield_interval(population.len() - lost, population.len(), missing)
+        };
+        StudyOutcome {
+            population,
+            degraded,
+            requested_chips: self.chips,
+            yield_interval: interval,
+        }
     }
 }
 
@@ -712,56 +720,26 @@ pub fn run_supervised(
 ) -> Result<StudyOutcome, StudyError> {
     let mc = MonteCarlo::try_new(config.variation).map_err(StudyError::Config)?;
     let tasks = shards_for(config.chips, exec.shard_chips);
-    let mut completed: Vec<ChipSample> = Vec::with_capacity(config.chips);
-    let mut quarantine = QuarantineLedger::new();
-    let mut degraded: Vec<DegradedShard> = Vec::new();
+    let mut state = CheckpointState::fresh(config.seed, config.chips);
     execute_shards(&mc, config, exec, &tasks, |msg| {
-        match msg {
-            ShardMsg::Done {
-                chips,
-                quarantine: q,
-                ..
-            } => {
-                // The workers record quarantines unobserved (attempts can
-                // be cancelled or retried); the metric counts each chip
-                // once, here, when its shard's result is accepted.
-                yac_obs::add(Metric::ChipsQuarantined, q.len() as u64);
-                insert_chips_sorted(&mut completed, chips);
-                quarantine.absorb(q);
-            }
-            ShardMsg::Degraded {
-                spec,
-                attempts,
-                error,
-            } => degraded.push(DegradedShard {
-                start: spec.start,
-                len: spec.len,
-                attempts,
-                error,
-            }),
-        }
+        state.accept(msg);
         Ok(())
     })?;
-    degraded.sort_by_key(|d| d.start);
-    let population = Population::from_parts(
-        completed,
-        quarantine,
-        *config.regular_model.calibration(),
-        config.seed,
-    );
-    Ok(finish_outcome(population, degraded, config.chips))
+    Ok(state.into_outcome(config))
 }
 
-/// Runs (or resumes) a supervised parallel study with shard-granular
+/// Runs (or resumes) a supervised study with shard-granular
 /// checkpointing: progress is persisted to `path` every `every`
 /// completed shards, and a killed run resumes without recomputing
-/// finished shards.
+/// finished shards. With `exec.workers == 1` this is the serial
+/// checkpointed study.
 ///
 /// # Errors
 ///
 /// Returns a [`StudyError`] if the checkpoint cannot be read, parsed or
-/// written, belongs to a different study or shard layout, or the
-/// variation configuration is invalid.
+/// written, belongs to a different study or shard layout (including a
+/// chip-granular file from the retired serial runner, which holds chips
+/// but no shard records), or the variation configuration is invalid.
 pub fn run_checkpointed_workers(
     config: &PopulationConfig,
     exec: &ExecutorConfig,
@@ -792,8 +770,8 @@ pub fn run_checkpointed_workers_budget(
     let mut state = load_or_fresh(path, config)?;
     if state.shards.is_empty() && state.done > 0 {
         return Err(StudyError::Mismatch(
-            "checkpoint is chip-granular (written by a serial run); resume \
-             it with run_checkpointed"
+            "checkpoint is chip-granular (written by the retired serial \
+             runner) and cannot be resumed"
                 .into(),
         ));
     }
@@ -821,41 +799,7 @@ pub fn run_checkpointed_workers_budget(
 
     let mut since_write = 0usize;
     execute_shards(&mc, config, exec, &pending, |msg| {
-        match msg {
-            ShardMsg::Done {
-                spec,
-                chips,
-                quarantine,
-            } => {
-                yac_obs::add(Metric::ChipsQuarantined, quarantine.len() as u64);
-                insert_chips_sorted(&mut state.completed, chips);
-                state.quarantine.absorb(quarantine);
-                insert_shard_record(
-                    &mut state.shards,
-                    ShardRecord {
-                        start: spec.start,
-                        len: spec.len,
-                        status: ShardStatus::Done,
-                    },
-                );
-                state.done += spec.len;
-            }
-            ShardMsg::Degraded {
-                spec,
-                attempts,
-                error,
-            } => {
-                insert_shard_record(
-                    &mut state.shards,
-                    ShardRecord {
-                        start: spec.start,
-                        len: spec.len,
-                        status: ShardStatus::Degraded { attempts, error },
-                    },
-                );
-                state.done += spec.len;
-            }
-        }
+        state.accept(msg);
         since_write += 1;
         if since_write >= every {
             since_write = 0;
@@ -864,34 +808,7 @@ pub fn run_checkpointed_workers_budget(
         Ok(())
     })?;
     write_state(path, &state)?;
-    if state.is_complete() {
-        Ok(Some(outcome_from_state(state, config)))
-    } else {
-        Ok(None)
-    }
-}
-
-fn outcome_from_state(state: CheckpointState, config: &PopulationConfig) -> StudyOutcome {
-    let degraded: Vec<DegradedShard> = state
-        .shards
-        .iter()
-        .filter_map(|r| match &r.status {
-            ShardStatus::Done => None,
-            ShardStatus::Degraded { attempts, error } => Some(DegradedShard {
-                start: r.start,
-                len: r.len,
-                attempts: *attempts,
-                error: error.clone(),
-            }),
-        })
-        .collect();
-    let population = Population::from_parts(
-        state.completed,
-        state.quarantine,
-        *config.regular_model.calibration(),
-        state.seed,
-    );
-    finish_outcome(population, degraded, config.chips)
+    Ok(state.is_complete().then(|| state.into_outcome(config)))
 }
 
 #[cfg(test)]

@@ -53,15 +53,12 @@ pub mod sweep;
 pub mod testing;
 
 pub use analysis::{
-    constraint_sweep, fig8_scatter, full_study, full_study_supervised, full_study_workers,
-    loss_table, saved_config_census, study_from_population, table2, table3, FullStudy,
-    InvalidLossReason, LossBreakdown, LossTable, ScatterPoint, SchemeLosses,
+    constraint_sweep, fig8_scatter, full_study, full_study_supervised, loss_table,
+    saved_config_census, study_from_population, table2, table3, FullStudy, InvalidLossReason,
+    LossBreakdown, LossTable, ScatterPoint, SchemeLosses,
 };
 pub use chaos::{ChaosPlan, ChaosStream, IoSite, MemPlan, NetPlan, NetSite};
-pub use checkpoint::{
-    run_checkpointed, run_checkpointed_budget, CheckpointState, ShardRecord, ShardStatus,
-    StudyError,
-};
+pub use checkpoint::{CheckpointState, ShardRecord, ShardStatus, StudyError};
 pub use chip::{ChipSample, Population, PopulationConfig};
 pub use classify::{classify, LossReason, WayCycleCensus};
 pub use client::{CircuitBreaker, ClientConfig, ClientError, ResilientClient};

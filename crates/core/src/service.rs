@@ -17,8 +17,8 @@
 //!   three ways.
 //! * **Supervised execution.** Misses run on a [`StealPool`] of
 //!   work-stealing workers ([`crate::stealing`]), each shard under the
-//!   full retry/backoff/deadline/degrade discipline of
-//!   `run_shard_stealing`. Degraded results are returned honestly — but
+//!   same retry/backoff/deadline/degrade attempt loop as the batch
+//!   executor's. Degraded results are returned honestly — but
 //!   **not cached**, because they depend on which shards happened to
 //!   fail.
 //! * **Bounded admission.** At most [`ServiceConfig::max_inflight`]
@@ -113,15 +113,11 @@
 //! ```
 
 use crate::chaos::{intercept_write, ChaosStream, IoSite, NetSite};
-use crate::checkpoint::{crc32, fsync_parent, StudyError};
-use crate::chip::{ChipSample, Population, PopulationConfig};
+use crate::checkpoint::{crc32, fsync_parent, CheckpointState, StudyError};
+use crate::chip::PopulationConfig;
 use crate::constraints::ConstraintSpec;
-use crate::executor::{
-    finish_outcome, insert_chips_sorted, run_shard_stealing, shards_for, DegradedShard,
-    ExecutorConfig, ShardMsg, ShardSpec,
-};
+use crate::executor::{run_shard, shards_for, ExecutorConfig, ShardMsg, ShardSpec, WorkerLane};
 use crate::health::{HealthConfig, HeartbeatRegistry, StallEvent, StallSentinel};
-use crate::quarantine::QuarantineLedger;
 use crate::schemes::PowerDownKind;
 use crate::stealing::StealPool;
 use crate::sweep::{
@@ -965,15 +961,8 @@ fn submit_shard(
                 return;
             }
             let lease = registry.begin(worker, shard_tag(job_id, spec.index));
-            let msg = run_shard_stealing(
-                &job.mc,
-                &job.pop,
-                &job.exec,
-                spec,
-                worker as u32,
-                &job.cancel,
-                Some(&lease),
-            );
+            let lane = WorkerLane::served(worker as u32, &job.cancel, &lease);
+            let msg = run_shard(&job.mc, &job.pop, &job.exec, spec, &lane);
             match msg {
                 Some(msg) => {
                     let _ = tx.send(Some(msg));
@@ -1578,37 +1567,15 @@ impl SweepService {
         // `Retryable` instead of a hang. The sentinel's reassignments
         // keep the channel open (the job table holds a sender clone)
         // until the job is deregistered below.
-        let mut completed: Vec<ChipSample> = Vec::with_capacity(query.chips);
-        let mut quarantine = QuarantineLedger::new();
-        let mut degraded: Vec<DegradedShard> = Vec::new();
+        let mut state = CheckpointState::fresh(query.seed, query.chips);
         let mut remaining: HashSet<usize> = shards.iter().map(|s| s.index).collect();
         let mut cancelled = false;
         let mut retryable = false;
         while !remaining.is_empty() {
             match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Some(ShardMsg::Done {
-                    spec,
-                    chips,
-                    quarantine: q,
-                })) => {
-                    if remaining.remove(&spec.index) {
-                        yac_obs::add(Metric::ChipsQuarantined, q.len() as u64);
-                        insert_chips_sorted(&mut completed, chips);
-                        quarantine.absorb(q);
-                    }
-                }
-                Ok(Some(ShardMsg::Degraded {
-                    spec,
-                    attempts,
-                    error,
-                })) => {
-                    if remaining.remove(&spec.index) {
-                        degraded.push(DegradedShard {
-                            start: spec.start,
-                            len: spec.len,
-                            attempts,
-                            error,
-                        });
+                Ok(Some(msg)) => {
+                    if remaining.remove(&msg.spec().index) {
+                        state.accept(msg);
                     }
                 }
                 Ok(None) => {
@@ -1650,14 +1617,7 @@ impl SweepService {
                 retry_after_ms: self.config.retry_after_ms,
             };
         }
-        degraded.sort_by_key(|d| d.start);
-        let population = Population::from_parts(
-            completed,
-            quarantine,
-            *job.pop.regular_model.calibration(),
-            job.pop.seed,
-        );
-        let outcome = finish_outcome(population, degraded, query.chips);
+        let outcome = state.into_outcome(&job.pop);
         match study_result_from_outcome(
             &outcome,
             query.constraint,

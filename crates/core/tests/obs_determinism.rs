@@ -97,3 +97,46 @@ fn enabled_metrics_see_the_study() {
     assert!(delta(Metric::ChipsClassified) >= 64);
     assert!(delta(Metric::RescueAttempts) >= delta(Metric::RescueSaves));
 }
+
+/// The supervised executor counts sampling exactly like the serial
+/// reference: `dies_sampled` and `sample_failures` move by the same
+/// amounts at any worker count, fault-injected chips included.
+#[test]
+fn supervised_runs_count_sampling_like_the_serial_path() {
+    use yac_core::{run_supervised, ExecutorConfig, PopulationConfig};
+    use yac_obs::Metric;
+
+    let mut cfg = PopulationConfig::paper(2006);
+    cfg.chips = 150;
+    cfg.faults = Some(yac_variation::FaultPlan::new(0.1, 3).unwrap());
+
+    let _lock = serialized();
+    let reg = yac_obs::global();
+    yac_obs::enable();
+    let counts = |run: &dyn Fn()| {
+        let before = reg.snapshot();
+        run();
+        let after = reg.snapshot();
+        [Metric::DiesSampled, Metric::SampleFailures].map(|m| after.counter(m) - before.counter(m))
+    };
+    let serial = counts(&|| {
+        let _ = Population::generate_with(&cfg);
+    });
+    let supervised: Vec<_> = [1, 3]
+        .into_iter()
+        .map(|workers| {
+            let mut exec = ExecutorConfig::with_workers(workers);
+            exec.shard_chips = 16;
+            counts(&|| {
+                run_supervised(&cfg, &exec).unwrap();
+            })
+        })
+        .collect();
+    yac_obs::disable();
+
+    assert!(serial[1] > 0, "the plan must make some dies fail to sample");
+    assert_eq!(serial[0] + serial[1], 150);
+    for (workers, got) in [1, 3].into_iter().zip(supervised) {
+        assert_eq!(got, serial, "workers={workers}");
+    }
+}

@@ -3,10 +3,11 @@
 //! degraded path with widened intervals, and shard-granular resume.
 
 use std::time::Duration;
+use yac_core::checkpoint::render_checkpoint;
 use yac_core::{
-    full_study, full_study_supervised, full_study_workers, render_loss_table, run_checkpointed,
-    run_supervised, table2, yield_interval, ConstraintSpec, ExecutorConfig, Population,
-    PopulationConfig, ShardFaultPlan, StudyError, YieldConstraints,
+    full_study, full_study_supervised, render_loss_table, run_supervised, table2, yield_interval,
+    CheckpointState, ConstraintSpec, ExecutorConfig, Population, PopulationConfig, ShardFaultPlan,
+    StudyError, YieldConstraints,
 };
 use yac_obs::Metric;
 use yac_variation::FaultPlan;
@@ -207,10 +208,11 @@ fn deadline_watchdog_cancels_overlong_shards() {
 }
 
 #[test]
-fn full_study_workers_matches_full_study() {
+fn full_study_supervised_matches_full_study() {
     let serial = full_study(CHIPS, SEED);
     for workers in [1, 3] {
-        let parallel = full_study_workers(CHIPS, SEED, workers).unwrap();
+        let parallel =
+            full_study_supervised(&config(None), &ExecutorConfig::with_workers(workers)).unwrap();
         assert_eq!(parallel, serial, "workers={workers}");
     }
 }
@@ -238,30 +240,32 @@ fn full_study_refuses_a_degraded_population() {
 }
 
 #[test]
-fn serial_and_shard_checkpoints_refuse_each_other() {
+fn chip_granular_and_foreign_layout_checkpoints_are_refused() {
     let dir = std::env::temp_dir().join("yac-executor-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let cfg = config(None);
 
-    // A partial serial (chip-granular) checkpoint...
+    // A partial chip-granular checkpoint, as the retired serial runner
+    // wrote it: 16 chips done, no shard records...
     let serial_path = dir.join("serial.ckpt");
-    let _ = std::fs::remove_file(&serial_path);
-    let partial = yac_core::run_checkpointed_budget(&cfg, &serial_path, 8, Some(16)).unwrap();
-    assert!(partial.is_none());
-    // ... cannot be resumed by the parallel runner...
+    let mut chip_granular = CheckpointState::fresh(SEED, CHIPS);
+    chip_granular.completed = Population::generate_with(&cfg).chips[..16].to_vec();
+    chip_granular.done = 16;
+    let text = render_checkpoint(&chip_granular);
+    std::fs::write(&serial_path, &text).unwrap();
+    // ... is neither resumed nor recomputed over.
     let err = yac_core::run_checkpointed_workers(&cfg, &exec(2), &serial_path, 1).unwrap_err();
     assert!(matches!(err, StudyError::Mismatch(_)), "got {err}");
+    assert_eq!(std::fs::read_to_string(&serial_path).unwrap(), text);
 
-    // ... and a shard-granular one cannot be resumed by the serial one.
+    // A shard-granular checkpoint...
     let shard_path = dir.join("shards.ckpt");
     let _ = std::fs::remove_file(&shard_path);
     let partial =
         yac_core::run_checkpointed_workers_budget(&cfg, &exec(2), &shard_path, 1, Some(2)).unwrap();
     assert!(partial.is_none());
-    let err = run_checkpointed(&cfg, &shard_path, 8).unwrap_err();
-    assert!(matches!(err, StudyError::Mismatch(_)), "got {err}");
 
-    // A different shard layout is refused too.
+    // ... with a different shard layout is refused.
     let mut other = exec(2);
     other.shard_chips = 10;
     let err = yac_core::run_checkpointed_workers(&cfg, &other, &shard_path, 1).unwrap_err();

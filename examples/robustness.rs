@@ -34,23 +34,26 @@ fn main() {
     let constraints = YieldConstraints::derive(&population, ConstraintSpec::NOMINAL);
     println!("{}", render_loss_table(&table2(&population, &constraints)));
 
-    // Checkpoint/resume: simulate a kill after 150 chips, then resume.
-    // The resumed population is identical to the uninterrupted one.
+    // Checkpoint/resume on one worker with 50-chip shards: simulate a
+    // kill after 3 shards (150 chips), then resume. The resumed
+    // population is identical to the uninterrupted one.
     let path = std::env::args()
         .nth(1)
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::env::temp_dir().join("robustness-example.ckpt"));
     let _ = std::fs::remove_file(&path);
-    let killed =
-        yield_aware_cache::core::checkpoint::run_checkpointed_budget(&cfg, &path, 50, Some(150))
-            .expect("checkpointing works");
+    let mut exec = ExecutorConfig::with_workers(1);
+    exec.shard_chips = 50;
+    let killed = run_checkpointed_workers_budget(&cfg, &exec, &path, 1, Some(3))
+        .expect("checkpointing works");
     println!(
         "killed after 150 chips: complete = {} (checkpoint at {})",
         killed.is_some(),
         path.display()
     );
-    match run_checkpointed(&cfg, &path, 50) {
+    match run_checkpointed_workers(&cfg, &exec, &path, 1) {
         Ok(resumed) => {
+            let resumed = resumed.population;
             let same = resumed.chips == population.chips
                 && resumed.quarantine() == population.quarantine();
             println!("resumed to completion: identical to uninterrupted run = {same}");
@@ -63,7 +66,7 @@ fn main() {
     println!("  {}", FaultPlan::new(1.5, 0).unwrap_err());
     let mut other = cfg.clone();
     other.seed = 9;
-    match run_checkpointed(&other, &path, 50) {
+    match run_checkpointed_workers(&other, &exec, &path, 1) {
         Ok(_) => println!("  (unexpected: mismatched checkpoint accepted)"),
         Err(e) => println!("  {e}"),
     }
