@@ -9,7 +9,10 @@
 use crate::analysis::{table2, table3, LossTable};
 use crate::chip::Population;
 use crate::constraints::{ConstraintSpec, YieldConstraints};
+use crate::executor::fan_out;
+use std::convert::Infallible;
 use std::fmt;
+use std::panic::catch_unwind;
 use yac_variation::stats::Summary;
 
 /// A yield estimate with an explicit uncertainty interval.
@@ -185,7 +188,8 @@ fn collect(tables: &[LossTable], scheme_idx: usize) -> (Vec<f64>, Vec<f64>) {
 
 /// Runs the full Table 2 + Table 3 study once per seed and aggregates.
 ///
-/// Populations are generated in parallel (one thread per seed).
+/// Populations are generated in parallel on the crate's batch pool, one
+/// worker per available core.
 ///
 /// # Panics
 ///
@@ -205,31 +209,33 @@ pub fn confidence_study(chips: usize, seeds: &[u64]) -> ConfidenceReport {
     assert!(!seeds.is_empty(), "at least one seed required");
     assert!(chips > 0, "population must be non-empty");
 
-    let mut runs: Vec<(LossTable, LossTable)> = Vec::with_capacity(seeds.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .iter()
-            .map(|&seed| {
-                scope.spawn(move || {
-                    let population = Population::generate(chips, seed);
-                    let constraints =
-                        YieldConstraints::derive(&population, ConstraintSpec::NOMINAL);
-                    (
-                        table2(&population, &constraints),
-                        table3(&population, &constraints),
-                    )
-                })
-            })
-            .collect();
-        for h in handles {
-            // Propagate a worker's own panic payload instead of masking
-            // it behind a fresh "study worker" panic here.
-            match h.join() {
-                Ok(run) => runs.push(run),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut runs: Vec<Option<std::thread::Result<(LossTable, LossTable)>>> =
+        seeds.iter().map(|_| None).collect();
+    let study = |_worker: usize, index: usize| {
+        let run = catch_unwind(|| {
+            let population = Population::generate(chips, seeds[index]);
+            let constraints = YieldConstraints::derive(&population, ConstraintSpec::NOMINAL);
+            (
+                table2(&population, &constraints),
+                table3(&population, &constraints),
+            )
+        });
+        (index, run)
+    };
+    let Ok(()) = fan_out(workers, seeds.len(), study, |(index, run)| {
+        runs[index] = Some(run);
+        Ok::<(), Infallible>(())
     });
+    // Propagate a worker's own panic payload (the first in seed order)
+    // instead of masking it behind a fresh "study worker" panic here.
+    let runs: Vec<(LossTable, LossTable)> = runs
+        .into_iter()
+        .map(|run| match run.expect("the pool runs every seed") {
+            Ok(run) => run,
+            Err(panic) => std::panic::resume_unwind(panic),
+        })
+        .collect();
 
     let t2: Vec<LossTable> = runs.iter().map(|(a, _)| a.clone()).collect();
     let t3: Vec<LossTable> = runs.iter().map(|(_, b)| b.clone()).collect();

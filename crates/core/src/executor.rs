@@ -5,16 +5,13 @@
 //! behind `catch_unwind` with a bounded retry budget and exponential
 //! backoff, attempts that exceed the per-shard time budget are cancelled
 //! (the worker checks its own elapsed time between chips, so even a
-//! deadline shorter than one chip is enforced deterministically; a
-//! watchdog thread additionally raises a generation-tagged cancel
-//! request, also polled between chips), and a shard that exhausts its
-//! retries is recorded as
-//! **degraded** rather than aborting the study. The run still completes,
-//! returning a [`StudyOutcome`] that carries the merged
-//! [`Population`], the degraded-shard map, and a yield confidence
-//! interval widened to account for the missing chips (see
-//! [`crate::confidence::yield_interval`]) instead of silently shrinking
-//! the denominator.
+//! deadline shorter than one chip is enforced deterministically), and a
+//! shard that exhausts its retries is recorded as **degraded** rather
+//! than aborting the study. The run still completes, returning a
+//! [`StudyOutcome`] that carries the merged [`Population`], the
+//! degraded-shard map, and a yield confidence interval widened to account
+//! for the missing chips (see [`crate::confidence::yield_interval`])
+//! instead of silently shrinking the denominator.
 //!
 //! # Determinism
 //!
@@ -40,6 +37,16 @@
 //! shards as `S` lines, degraded ones as `D` lines), so a killed run
 //! resumes without recomputing finished shards and its final population
 //! round-trips bit-exactly. With one worker it is the serial job.
+//!
+//! # One batch pool
+//!
+//! `fan_out` is the crate's only batch fan-out: the shards here,
+//! benchmark suites ([`crate::perf::suite_cpis_isolated`]), seeds
+//! ([`crate::confidence::confidence_study`]) and sweep studies
+//! ([`crate::sweep::run_sweep`]) all run on at most `workers` scoped
+//! threads claiming task indices from one atomic cursor. The sweep
+//! service's persistent pool ([`crate::stealing::StealPool`]) serves
+//! queries that arrive over time and is the one other pool.
 
 use crate::checkpoint::{
     load_or_fresh, write_state, CheckpointState, ShardRecord, ShardStatus, StudyError,
@@ -53,7 +60,7 @@ use crate::quarantine::QuarantineLedger;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use yac_obs::{Metric, Phase, TraceCtx, TraceEventKind};
@@ -140,8 +147,8 @@ pub struct ExecutorConfig {
     pub max_retries: u32,
     /// Base backoff slept before retry `n` is `backoff * 2^n`.
     pub backoff: Duration,
-    /// Per-shard-attempt time budget enforced by the watchdog; `None`
-    /// disables the watchdog.
+    /// Per-shard-attempt time budget, checked by the worker between
+    /// chips; `None` means no budget.
     pub shard_deadline: Option<Duration>,
     /// Optional deterministic shard-level fault injection.
     pub shard_faults: Option<ShardFaultPlan>,
@@ -243,46 +250,25 @@ impl ShardMsg {
     }
 }
 
-/// Per-worker state the deadline watchdog inspects.
-///
-/// `started` holds the current attempt's *tag* — the worker's attempt
-/// generation packed with the attempt's start time (see [`attempt_tag`])
-/// — or 0 when the worker is idle. To cancel, the watchdog stores the
-/// exact tag it observed into `cancel`, and the shard loop only honours
-/// a cancel whose tag matches its own attempt. A sweep that read attempt
-/// N's tag can therefore never cancel attempt N+1: the generations
-/// differ, so the stale store falls on deaf ears instead of spuriously
-/// burning a retry.
-#[derive(Default)]
-struct WorkerWatch {
-    started: AtomicU64,
-    cancel: AtomicU64,
-    /// Attempts this worker has started. Only the worker itself reads
-    /// or writes it, so `Relaxed` suffices.
-    generation: AtomicU64,
-}
-
 /// The worker a shard runs on: its index (trace context and track
-/// label), its watchdog mailbox with the pool epoch its attempt tags are
-/// measured from (batch pools only — the sweep service runs no
-/// watchdog), and the two cancel sources that withdraw a shard from the
-/// lane without retrying or degrading it. Those are `abort`, the sweep
-/// service's per-query cancel flag (raised when the client disconnects;
-/// the whole query is discarded), and `lease`, the stall sentinel's
-/// cooperative cancel (raised when the lane publishes no progress for a
-/// full budget; the shard has been reassigned to a fresh worker, which
-/// reports it instead).
+/// label) and the two cancel sources that withdraw a shard from the lane
+/// without retrying or degrading it. Both belong to the sweep service; a
+/// batch lane has neither. They are `abort`, the service's per-query
+/// cancel flag (raised when the client disconnects; the whole query is
+/// discarded), and `lease`, the stall sentinel's cooperative cancel
+/// (raised when the lane publishes no progress for a full budget; the
+/// shard has been reassigned to a fresh worker, which reports it
+/// instead).
 #[derive(Clone, Copy)]
 pub(crate) struct WorkerLane<'a> {
     worker: u32,
-    watch: Option<(&'a WorkerWatch, Instant)>,
     abort: Option<&'a AtomicBool>,
     lease: Option<&'a HeartbeatLease<'a>>,
 }
 
 impl<'a> WorkerLane<'a> {
-    /// A sweep-service worker's lane: no watchdog, the query's cancel
-    /// flag and the worker's heartbeat lease.
+    /// A sweep-service worker's lane: the query's cancel flag and the
+    /// worker's heartbeat lease.
     pub(crate) fn served(
         worker: u32,
         abort: &'a AtomicBool,
@@ -290,7 +276,6 @@ impl<'a> WorkerLane<'a> {
     ) -> Self {
         WorkerLane {
             worker,
-            watch: None,
             abort: Some(abort),
             lease: Some(lease),
         }
@@ -304,46 +289,22 @@ impl<'a> WorkerLane<'a> {
     }
 }
 
-/// Low bits of an attempt tag carrying the start time (nanos since the
-/// pool epoch, plus 1 so the packed value is never 0). 2^48 ns ≈ 78
-/// hours; a run longer than that can at worst trigger one spurious
-/// watchdog cancel, which costs a retry, never correctness.
-const TAG_NANOS_BITS: u32 = 48;
-const TAG_NANOS_MASK: u64 = (1 << TAG_NANOS_BITS) - 1;
-
-/// Packs a worker-local attempt generation (high 16 bits) with the
-/// attempt's start nanos (low 48 bits, offset by 1) into a nonzero tag.
-fn attempt_tag(generation: u64, nanos_since_epoch: u64) -> u64 {
-    (generation << TAG_NANOS_BITS) | ((nanos_since_epoch + 1) & TAG_NANOS_MASK).max(1)
-}
-
-/// The start time a tag was packed from (nanos since the pool epoch).
-fn tag_started_nanos(tag: u64) -> u64 {
-    (tag & TAG_NANOS_MASK) - 1
-}
-
 /// Why a shard attempt stopped early.
 enum ShardAbort {
     Cancelled,
 }
 
-/// One attempt's cancellation state: the lane's cancel sources, the
-/// attempt's watchdog tag (so only a cancel aimed at *this* attempt
-/// stops it) and its start time (so the deadline is enforced against the
+/// One attempt's cancellation state: the lane's cancel sources and the
+/// attempt's start time (so the deadline is enforced against the
 /// attempt's own clock).
 struct AttemptGuard<'a> {
     lane: &'a WorkerLane<'a>,
-    tag: u64,
     t0: Instant,
 }
 
 impl AttemptGuard<'_> {
     fn cancelled(&self, deadline: Option<Duration>) -> bool {
-        self.lane
-            .watch
-            .is_some_and(|(watch, _)| watch.cancel.load(Ordering::Relaxed) == self.tag)
-            || deadline.is_some_and(|d| self.t0.elapsed() > d)
-            || self.lane.withdrawn()
+        deadline.is_some_and(|d| self.t0.elapsed() > d) || self.lane.withdrawn()
     }
 
     /// Publishes one unit of liveness progress (a no-op without a lease).
@@ -354,7 +315,8 @@ impl AttemptGuard<'_> {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The text of a caught panic payload (`&str` or `String`).
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -366,10 +328,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// per-chip stream, exactly as the serial paths do.
 ///
 /// The deadline is enforced *here*, between chips, against the attempt's
-/// own clock — not only by the watchdog's periodic sweep — so even a
-/// deadline smaller than the watchdog tick (or than one chip) cancels
-/// deterministically. The watchdog's tag-matched cancel request is
-/// honoured as well, as a second trigger for the same cooperative stop.
+/// own clock, so even a deadline smaller than one chip cancels
+/// deterministically.
 ///
 /// Quarantined chips are recorded *unobserved* and sample failures only
 /// tallied (no metric increments): this attempt may yet be cancelled or
@@ -393,9 +353,9 @@ fn run_shard_once(
     }
     if crate::chaos::stall_ticket(spec.index as u64) {
         // Injected hang: hold the shard without a single heartbeat until
-        // some cancel source (sentinel lease cancel, query abort, shard
-        // deadline or watchdog tag) releases it — this is how the seeded
-        // tests drive every stall-recovery path.
+        // some cancel source (sentinel lease cancel, query abort or shard
+        // deadline) releases it — this is how the seeded tests drive
+        // every stall-recovery path.
         while !guard.cancelled(exec.shard_deadline) {
             std::thread::sleep(Duration::from_micros(200));
         }
@@ -459,27 +419,14 @@ pub(crate) fn run_shard(
         if lane.abort.is_some_and(|a| a.load(Ordering::Relaxed)) {
             return None;
         }
-        // A fresh generation per attempt means a stale watchdog cancel
-        // (tagged with an earlier attempt) can never match this one, so
-        // `cancel` needs no clearing — and no clear/store race exists.
-        let tag = lane.watch.map_or(0, |(watch, epoch)| {
-            let generation = watch.generation.fetch_add(1, Ordering::Relaxed) + 1;
-            let tag = attempt_tag(generation, epoch.elapsed().as_nanos() as u64);
-            watch.started.store(tag, Ordering::Release);
-            tag
-        });
         let guard = AttemptGuard {
             lane,
-            tag,
             t0: Instant::now(),
         };
         let exec_span = yac_obs::phase_ctx(Phase::ShardExec, ctx(attempt));
         let result = catch_unwind(AssertUnwindSafe(|| {
             run_shard_once(mc, config, exec, spec, attempt, &guard)
         }));
-        if let Some((watch, _)) = lane.watch {
-            watch.started.store(0, Ordering::Release);
-        }
         drop(exec_span);
 
         let error = match result {
@@ -526,88 +473,69 @@ pub(crate) fn run_shard(
     }
 }
 
-/// The worker pool: runs `tasks` on `exec.workers` scoped threads and
-/// feeds every shard's outcome to `sink` on the supervisor thread, in
-/// completion order. A `sink` error stops the pool (workers finish their
-/// current shard and exit) and is returned.
-fn execute_shards(
-    mc: &MonteCarlo,
-    config: &PopulationConfig,
-    exec: &ExecutorConfig,
-    tasks: &[ShardSpec],
-    mut sink: impl FnMut(ShardMsg) -> Result<(), StudyError>,
-) -> Result<(), StudyError> {
-    if tasks.is_empty() {
+/// The one batch fan-out: runs `task(worker, index)` for every index in
+/// `0..tasks` on at most `workers` scoped threads, which claim indices in
+/// order from one atomic cursor, and feeds each result to `sink` on the
+/// calling thread in completion order.
+///
+/// A `sink` error stops the pool: the cursor is closed, so no further
+/// index is claimed, tasks already running finish and their results are
+/// dropped, and the error is returned. A task that must survive a panic
+/// catches it itself.
+pub(crate) fn fan_out<R: Send, E>(
+    workers: usize,
+    tasks: usize,
+    task: impl Fn(usize, usize) -> R + Sync,
+    mut sink: impl FnMut(R) -> Result<(), E>,
+) -> Result<(), E> {
+    if tasks == 0 {
         return Ok(());
     }
-    let workers = exec.workers.clamp(1, tasks.len());
+    // The cursor publishes no data (results travel through the
+    // channel), so `Relaxed` suffices.
     let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let collecting = AtomicBool::new(true);
-    let epoch = Instant::now();
-    let watches: Vec<WorkerWatch> = (0..workers).map(|_| WorkerWatch::default()).collect();
-    let (tx, rx) = mpsc::channel::<ShardMsg>();
-    let mut sink_result = Ok(());
-
+    let (tx, rx) = mpsc::channel::<R>();
     std::thread::scope(|scope| {
-        for (worker, watch) in watches.iter().enumerate() {
-            let tx = tx.clone();
-            let (next, abort) = (&next, &abort);
-            scope.spawn(move || {
-                yac_obs::trace_label_thread(&format!("worker-{worker}"));
-                let lane = WorkerLane {
-                    worker: worker as u32,
-                    watch: Some((watch, epoch)),
-                    abort: None,
-                    lease: None,
-                };
-                while !abort.load(Ordering::Relaxed) {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = tasks.get(i) else { break };
-                    let Some(msg) = run_shard(mc, config, exec, *spec, &lane) else {
-                        break;
-                    };
-                    if tx.send(msg).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        if let Some(deadline) = exec.shard_deadline {
-            let (watches, collecting) = (&watches, &collecting);
-            scope.spawn(move || {
-                let tick =
-                    (deadline / 4).clamp(Duration::from_micros(200), Duration::from_millis(5));
-                let budget = deadline.as_nanos() as u64;
-                while collecting.load(Ordering::Relaxed) {
-                    let now = epoch.elapsed().as_nanos() as u64;
-                    for watch in watches {
-                        let tag = watch.started.load(Ordering::Acquire);
-                        if tag != 0 && now.saturating_sub(tag_started_nanos(tag)) > budget {
-                            // Cancel exactly the attempt observed: the
-                            // store carries its tag, so if the worker
-                            // has since moved on, this is a no-op.
-                            watch.cancel.store(tag, Ordering::Relaxed);
-                        }
-                    }
-                    std::thread::sleep(tick);
+        for worker in 0..workers.clamp(1, tasks) {
+            let (tx, next, task) = (tx.clone(), &next, &task);
+            scope.spawn(move || loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= tasks || tx.send(task(worker, index)).is_err() {
+                    break;
                 }
             });
         }
         // The workers hold the remaining senders; dropping ours lets the
         // receive loop end when the last worker exits.
         drop(tx);
-        for msg in rx {
-            if sink_result.is_ok() {
-                if let Err(e) = sink(msg) {
-                    sink_result = Err(e);
-                    abort.store(true, Ordering::Relaxed);
-                }
-            }
+        let result = rx.iter().try_for_each(&mut sink);
+        if result.is_err() {
+            next.store(tasks, Ordering::Relaxed);
         }
-        collecting.store(false, Ordering::Relaxed);
-    });
-    sink_result
+        result
+    })
+}
+
+/// Runs `tasks` on `exec.workers` threads of the batch pool, each labelled
+/// `worker-{i}` in traces, and feeds every shard's outcome to `sink` in
+/// completion order. A `sink` error stops the pool and is returned.
+fn execute_shards(
+    mc: &MonteCarlo,
+    config: &PopulationConfig,
+    exec: &ExecutorConfig,
+    tasks: &[ShardSpec],
+    sink: impl FnMut(ShardMsg) -> Result<(), StudyError>,
+) -> Result<(), StudyError> {
+    let shard = |worker: usize, index: usize| {
+        yac_obs::trace_label_thread(&format!("worker-{worker}"));
+        let lane = WorkerLane {
+            worker: worker as u32,
+            abort: None,
+            lease: None,
+        };
+        run_shard(mc, config, exec, tasks[index], &lane).expect("a batch lane is never withdrawn")
+    };
+    fan_out(exec.workers, tasks.len(), shard, sink)
 }
 
 impl CheckpointState {
@@ -842,18 +770,6 @@ mod tests {
         assert!(ShardFaultPlan::new(1.5, 0, 1).is_err());
         let always = ShardFaultPlan::always(1);
         assert!(always.fails(7, 3, 0) && !always.fails(7, 3, 1));
-    }
-
-    #[test]
-    fn attempt_tags_distinguish_generations_and_round_trip_start_time() {
-        // Same start instant, different attempts: a stale cancel store
-        // tagged with one can never match the other.
-        assert_ne!(attempt_tag(1, 500), attempt_tag(2, 500));
-        assert_eq!(tag_started_nanos(attempt_tag(3, 1234)), 1234);
-        // Never 0 (0 means idle), even where the nanos field wraps or
-        // the generation field has wrapped back to 0.
-        assert_ne!(attempt_tag(1, 0), 0);
-        assert_ne!(attempt_tag(0, TAG_NANOS_MASK), 0);
     }
 
     #[test]

@@ -6,9 +6,12 @@ use crate::analysis::saved_config_census;
 use crate::chip::Population;
 use crate::classify::WayCycleCensus;
 use crate::constraints::YieldConstraints;
+use crate::executor::{fan_out, panic_message};
 use crate::schemes::{Hybrid, PowerDownKind, Vaca, Yapd};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use yac_cache::{CacheConfig, HierarchyConfig, MemoryHierarchy};
 use yac_circuit::CacheVariant;
 use yac_pipeline::{Pipeline, PipelineConfig};
@@ -122,7 +125,8 @@ pub fn benchmark_cpi(
 }
 
 /// CPI of every SPEC2000-like benchmark on the given L1D, in suite order.
-/// Benchmarks run on separate threads.
+/// Benchmarks run in parallel on the crate's batch pool, one worker per
+/// available core.
 ///
 /// # Panics
 ///
@@ -156,9 +160,10 @@ pub struct BenchmarkFailure {
     pub error: String,
 }
 
-/// Fault-isolated variant of [`suite_cpis`]: each benchmark runs on its
-/// own thread, and a worker that panics or reports a non-finite CPI is
-/// quarantined into the failure list instead of tearing down the suite.
+/// Fault-isolated variant of [`suite_cpis`]: each benchmark runs behind
+/// `catch_unwind` on the batch pool (one worker per available core), and
+/// a benchmark that panics or reports a non-finite CPI is quarantined
+/// into the failure list instead of tearing down the suite.
 ///
 /// The CPI list keeps suite order, with failed benchmarks absent.
 #[must_use]
@@ -168,50 +173,39 @@ pub fn suite_cpis_isolated(
     opts: &PerfOptions,
 ) -> (Vec<(&'static str, f64)>, Vec<BenchmarkFailure>) {
     let profiles = spec2000::all_profiles();
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut runs: Vec<Option<std::thread::Result<f64>>> = profiles.iter().map(|_| None).collect();
+    let simulate = |worker: usize, index: usize| {
+        yac_obs::trace_label_thread(&format!("suite-{worker}"));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let _timer = yac_obs::phase(yac_obs::Phase::PipelineSim);
+            benchmark_cpi(profiles[index].clone(), l1d, pipeline, opts)
+        }));
+        (index, run)
+    };
+    let Ok(()) = fan_out(workers, profiles.len(), simulate, |(index, run)| {
+        runs[index] = Some(run);
+        Ok::<(), Infallible>(())
+    });
     let mut out = Vec::with_capacity(profiles.len());
     let mut failures = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = profiles
-            .into_iter()
-            .map(|p| {
-                let name = p.name;
-                let l1d = l1d.clone();
-                let pipeline = pipeline.clone();
-                let opts = *opts;
-                (
-                    name,
-                    scope.spawn(move || {
-                        yac_obs::trace_label_thread(&format!("bench-{name}"));
-                        let _timer = yac_obs::phase(yac_obs::Phase::PipelineSim);
-                        benchmark_cpi(p, &l1d, &pipeline, &opts)
-                    }),
-                )
-            })
-            .collect();
-        for (name, h) in handles {
-            match h.join() {
-                Ok(cpi) if cpi.is_finite() && cpi > 0.0 => {
-                    yac_obs::inc(yac_obs::Metric::BenchmarksSimulated);
-                    out.push((name, cpi));
-                }
-                Ok(cpi) => failures.push(BenchmarkFailure {
-                    benchmark: name,
-                    error: format!("non-finite or non-positive CPI ({cpi})"),
-                }),
-                Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "opaque panic payload".to_string());
-                    failures.push(BenchmarkFailure {
-                        benchmark: name,
-                        error: format!("worker panicked: {msg}"),
-                    });
-                }
+    for (profile, run) in profiles.iter().zip(runs) {
+        let name = profile.name;
+        match run.expect("the pool runs every benchmark") {
+            Ok(cpi) if cpi.is_finite() && cpi > 0.0 => {
+                yac_obs::inc(yac_obs::Metric::BenchmarksSimulated);
+                out.push((name, cpi));
             }
+            Ok(cpi) => failures.push(BenchmarkFailure {
+                benchmark: name,
+                error: format!("non-finite or non-positive CPI ({cpi})"),
+            }),
+            Err(payload) => failures.push(BenchmarkFailure {
+                benchmark: name,
+                error: format!("worker panicked: {}", panic_message(&*payload)),
+            }),
         }
-    });
+    }
     yac_obs::add(yac_obs::Metric::BenchmarkFailures, failures.len() as u64);
     (out, failures)
 }

@@ -78,13 +78,13 @@ use crate::checkpoint::{crc32, fsync_parent, StudyError};
 use crate::chip::PopulationConfig;
 use crate::confidence::{yield_interval, YieldInterval};
 use crate::constraints::{ConstraintSpec, YieldConstraints};
-use crate::executor::{run_checkpointed_workers, ExecutorConfig};
+use crate::executor::{fan_out, panic_message, run_checkpointed_workers, ExecutorConfig};
 use crate::perf::{suite_cpis_isolated, PerfOptions};
 use crate::schemes::PowerDownKind;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use yac_cache::CacheConfig;
 use yac_circuit::CacheVariant;
 use yac_pipeline::PipelineConfig;
@@ -909,114 +909,87 @@ pub fn run_sweep(
         .filter(|(_, s)| matches!(s, StudyStatus::Pending))
         .map(|(i, _)| i)
         .collect();
-    let statuses = Mutex::new(statuses);
-    let first_error: Mutex<Option<StudyError>> = Mutex::new(None);
-    let abort = AtomicBool::new(false);
-    let cancelled = AtomicBool::new(false);
-    let cursor = AtomicUsize::new(0);
-    let slots = config.concurrent_studies.clamp(1, pending.len().max(1));
-
-    std::thread::scope(|scope| {
-        for _ in 0..slots {
-            scope.spawn(|| loop {
-                if abort.load(Ordering::Relaxed) {
-                    return;
-                }
-                if config
-                    .cancel
-                    .as_ref()
-                    .is_some_and(|c| c.load(Ordering::Relaxed))
-                {
-                    cancelled.store(true, Ordering::Relaxed);
-                    return;
-                }
-                let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&index) = pending.get(slot) else {
-                    return;
-                };
-                let spec = specs[index];
-                let fail_sweep = |e: StudyError| {
-                    let mut first = first_error.lock().unwrap_or_else(|p| p.into_inner());
-                    first.get_or_insert(e);
-                    abort.store(true, Ordering::Relaxed);
-                };
-                {
-                    let mut j = journal.lock().unwrap_or_else(|p| p.into_inner());
-                    if let Err(e) = j.append(&format!("R {index}")) {
-                        fail_sweep(e);
-                        return;
-                    }
-                }
-                let ctx = yac_obs::TraceCtx::study(index as u32);
-                yac_obs::trace_instant(yac_obs::TraceEventKind::StudyStarted, ctx);
-                let _span = yac_obs::phase_ctx(yac_obs::Phase::StudyExec, ctx);
-                let ckpt = study_checkpoint(journal_path, index);
-                let ran = std::panic::catch_unwind(|| run_one_study(grid, config, &spec, &ckpt));
-                let status = match ran {
-                    Ok(Ok(result)) if result.missing_chips == 0 => {
-                        yac_obs::inc(yac_obs::Metric::StudiesCompleted);
-                        yac_obs::trace_instant(yac_obs::TraceEventKind::StudyCompleted, ctx);
-                        StudyStatus::Completed(result)
-                    }
-                    Ok(Ok(result)) => {
-                        yac_obs::inc(yac_obs::Metric::StudiesDegraded);
-                        yac_obs::trace_instant(yac_obs::TraceEventKind::StudyDegraded, ctx);
-                        StudyStatus::Degraded(result)
-                    }
-                    Ok(Err(e)) => {
-                        yac_obs::inc(yac_obs::Metric::StudiesFailed);
-                        yac_obs::trace_instant(yac_obs::TraceEventKind::StudyDegraded, ctx);
-                        StudyStatus::Failed {
-                            error: e.to_string(),
-                        }
-                    }
-                    Err(panic) => {
-                        yac_obs::inc(yac_obs::Metric::StudiesFailed);
-                        yac_obs::trace_instant(yac_obs::TraceEventKind::StudyDegraded, ctx);
-                        let msg = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "opaque panic payload".into());
-                        StudyStatus::Failed {
-                            error: format!("study panicked: {msg}"),
-                        }
-                    }
-                };
-                let record = match &status {
-                    StudyStatus::Completed(r) => format!("S {index} {}", render_result(r)),
-                    StudyStatus::Degraded(r) => format!("D {index} {}", render_result(r)),
-                    StudyStatus::Failed { error } => {
-                        format!("F {index} {}", error.replace('\n', " "))
-                    }
-                    StudyStatus::Pending => unreachable!("terminal statuses only"),
-                };
-                {
-                    let mut j = journal.lock().unwrap_or_else(|p| p.into_inner());
-                    if let Err(e) = j.append(&record) {
-                        fail_sweep(e);
-                        return;
-                    }
-                }
-                // The terminal record is durable; the study's checkpoint
-                // is now redundant.
-                let _ = std::fs::remove_file(&ckpt);
-                statuses.lock().unwrap_or_else(|p| p.into_inner())[index] = status;
-            });
+    let cancelled = || {
+        config
+            .cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::Relaxed))
+    };
+    // One pool task per pending study. A task that finds the sweep
+    // cancelled starts nothing and reports `None`: its study stays
+    // `Pending`, and so does every later one.
+    let study = |_worker: usize, slot: usize| -> Result<Option<(usize, StudyStatus)>, StudyError> {
+        if cancelled() {
+            return Ok(None);
         }
-    });
+        let index = pending[slot];
+        let spec = specs[index];
+        let append = |record: &str| {
+            journal
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .append(record)
+        };
+        append(&format!("R {index}"))?;
+        let ctx = yac_obs::TraceCtx::study(index as u32);
+        yac_obs::trace_instant(yac_obs::TraceEventKind::StudyStarted, ctx);
+        let _span = yac_obs::phase_ctx(yac_obs::Phase::StudyExec, ctx);
+        let ckpt = study_checkpoint(journal_path, index);
+        let ran = std::panic::catch_unwind(|| run_one_study(grid, config, &spec, &ckpt));
+        let status = match ran {
+            Ok(Ok(result)) if result.missing_chips == 0 => {
+                yac_obs::inc(yac_obs::Metric::StudiesCompleted);
+                yac_obs::trace_instant(yac_obs::TraceEventKind::StudyCompleted, ctx);
+                StudyStatus::Completed(result)
+            }
+            Ok(Ok(result)) => {
+                yac_obs::inc(yac_obs::Metric::StudiesDegraded);
+                yac_obs::trace_instant(yac_obs::TraceEventKind::StudyDegraded, ctx);
+                StudyStatus::Degraded(result)
+            }
+            Ok(Err(e)) => {
+                yac_obs::inc(yac_obs::Metric::StudiesFailed);
+                yac_obs::trace_instant(yac_obs::TraceEventKind::StudyDegraded, ctx);
+                StudyStatus::Failed {
+                    error: e.to_string(),
+                }
+            }
+            Err(panic) => {
+                yac_obs::inc(yac_obs::Metric::StudiesFailed);
+                yac_obs::trace_instant(yac_obs::TraceEventKind::StudyDegraded, ctx);
+                StudyStatus::Failed {
+                    error: format!("study panicked: {}", panic_message(&*panic)),
+                }
+            }
+        };
+        let record = match &status {
+            StudyStatus::Completed(r) => format!("S {index} {}", render_result(r)),
+            StudyStatus::Degraded(r) => format!("D {index} {}", render_result(r)),
+            StudyStatus::Failed { error } => {
+                format!("F {index} {}", error.replace('\n', " "))
+            }
+            StudyStatus::Pending => unreachable!("terminal statuses only"),
+        };
+        append(&record)?;
+        // The terminal record is durable; the study's checkpoint is now
+        // redundant.
+        let _ = std::fs::remove_file(&ckpt);
+        Ok(Some((index, status)))
+    };
+    // A journal error stops the sweep: no further study is claimed, and
+    // the error is returned once the studies in flight finish.
+    fan_out(config.concurrent_studies, pending.len(), study, |ran| {
+        if let Some((index, status)) = ran? {
+            statuses[index] = status;
+        }
+        Ok(())
+    })?;
 
-    if let Some(e) = first_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
-        return Err(e);
-    }
     Ok(SweepOutcome {
-        studies: specs
-            .into_iter()
-            .zip(statuses.into_inner().unwrap_or_else(|p| p.into_inner()))
-            .collect(),
+        studies: specs.into_iter().zip(statuses).collect(),
         resumed,
         recovered,
-        cancelled: cancelled.load(Ordering::Relaxed),
+        cancelled: cancelled(),
     })
 }
 

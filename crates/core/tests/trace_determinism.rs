@@ -170,3 +170,45 @@ fn traced_supervised_run_captures_the_shard_lifecycle() {
     }
     journal.clear();
 }
+
+/// A traced suite runs on the bounded batch pool: its 24 `pipeline_sim`
+/// spans land on at most one journal thread per available core, so a
+/// suite never spends one trace slot per benchmark.
+#[test]
+fn traced_suite_records_its_spans_on_a_bounded_set_of_threads() {
+    let opts = PerfOptions {
+        warmup_uops: 2_000,
+        measure_uops: 5_000,
+        trace_seed: 3,
+    };
+    let l1d = yac_cache::CacheConfig::l1d_paper();
+    let pipeline = PipelineConfig::paper();
+
+    let _lock = serialized();
+    let journal = yac_obs::journal();
+    journal.clear();
+    yac_obs::trace_enable();
+    let (cpis, failures) = suite_cpis_isolated(&l1d, &pipeline, &opts);
+    yac_obs::trace_disable();
+    assert!(failures.is_empty(), "{failures:?}");
+
+    let snap = journal.snapshot();
+    let sim_spans = |t: &yac_obs::trace::ThreadTrace| {
+        t.events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::PhaseSpan(yac_obs::Phase::PipelineSim))
+            .count()
+    };
+    let spans: usize = snap.threads.iter().map(sim_spans).sum();
+    let threads = snap.threads.iter().filter(|t| sim_spans(t) > 0).count();
+    assert_eq!(spans, cpis.len(), "one pipeline_sim span per benchmark");
+    assert_eq!(snap.dropped_events, 0);
+    let bound = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(24);
+    assert!(
+        (1..=bound).contains(&threads),
+        "{spans} pipeline_sim spans on {threads} journal threads (bound {bound})"
+    );
+    journal.clear();
+}

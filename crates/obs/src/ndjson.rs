@@ -18,7 +18,7 @@
 //! the container carries no JSON dependency), which is also what the CI
 //! trace-validation step and the round-trip tests use.
 
-use crate::perfetto::json_escape;
+use crate::manifest::json_string;
 use crate::registry::Phase;
 use crate::trace::{TraceCtx, TraceEvent, TraceEventKind, TraceSnapshot};
 use std::fmt::Write as _;
@@ -60,7 +60,7 @@ fn write_line(out: &mut String, slot: usize, label: &str, event: &TraceEvent) {
     let _ = write!(
         out,
         "{{\"slot\":{slot},\"thread\":{},\"t_ns\":{},\"dur_ns\":{},\"kind\":\"{}\"",
-        json_escape(label),
+        json_string(label),
         event.t_ns,
         event.dur_ns,
         event.kind.name()
