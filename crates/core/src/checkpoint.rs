@@ -27,7 +27,9 @@
 //!   resuming from silently wrong state. The temp file is `sync_all`ed
 //!   before the rename, making the write-then-rename durable.
 
+use crate::chaos::{intercept_write, IoSite};
 use crate::chip::{ChipSample, PopulationConfig};
+use crate::framing::{crc32, fsync_parent, io_error, read_optional, write_durable, TokenReader};
 use crate::quarantine::QuarantineLedger;
 use std::fmt;
 use std::path::Path;
@@ -162,38 +164,8 @@ impl CheckpointState {
     }
 }
 
-/// IEEE CRC32 (the zlib/PNG polynomial), bitwise. Shared with the sweep
-/// journal, whose records carry the same trailer.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 fn f64_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
-}
-
-fn parse_f64(token: &str, line: usize) -> Result<f64, StudyError> {
-    u64::from_str_radix(token, 16)
-        .map(f64::from_bits)
-        .map_err(|_| StudyError::Corrupt {
-            line,
-            what: format!("bad f64 bits {token:?}"),
-        })
-}
-
-fn parse_usize(token: &str, line: usize) -> Result<usize, StudyError> {
-    token.parse().map_err(|_| StudyError::Corrupt {
-        line,
-        what: format!("bad integer {token:?}"),
-    })
 }
 
 fn push_result(out: &mut String, r: &CacheCircuitResult) {
@@ -224,37 +196,24 @@ fn push_result(out: &mut String, r: &CacheCircuitResult) {
     }
 }
 
-fn take<'a>(
-    tokens: &mut impl Iterator<Item = &'a str>,
-    line: usize,
-) -> Result<&'a str, StudyError> {
-    tokens.next().ok_or(StudyError::Corrupt {
-        line,
-        what: "truncated record".into(),
-    })
-}
-
-fn parse_result<'a>(
-    tokens: &mut impl Iterator<Item = &'a str>,
-    line: usize,
-) -> Result<CacheCircuitResult, StudyError> {
-    let delay = parse_f64(take(tokens, line)?, line)?;
-    let heat = parse_f64(take(tokens, line)?, line)?;
-    let leakage = parse_f64(take(tokens, line)?, line)?;
-    let nways = parse_usize(take(tokens, line)?, line)?;
+fn parse_result(r: &mut TokenReader<'_>) -> Result<CacheCircuitResult, StudyError> {
+    let delay = r.f64_bits()?;
+    let heat = r.f64_bits()?;
+    let leakage = r.f64_bits()?;
+    let nways: usize = r.int()?;
     let mut ways = Vec::with_capacity(nways);
     for _ in 0..nways {
-        let way_delay = parse_f64(take(tokens, line)?, line)?;
-        let peripheral_leakage = parse_f64(take(tokens, line)?, line)?;
-        let way_leakage = parse_f64(take(tokens, line)?, line)?;
-        let nregions = parse_usize(take(tokens, line)?, line)?;
+        let way_delay = r.f64_bits()?;
+        let peripheral_leakage = r.f64_bits()?;
+        let way_leakage = r.f64_bits()?;
+        let nregions: usize = r.int()?;
         let mut region_delay = Vec::with_capacity(nregions);
         for _ in 0..nregions {
-            region_delay.push(parse_f64(take(tokens, line)?, line)?);
+            region_delay.push(r.f64_bits()?);
         }
         let mut region_cell_leakage = Vec::with_capacity(nregions);
         for _ in 0..nregions {
-            region_cell_leakage.push(parse_f64(take(tokens, line)?, line)?);
+            region_cell_leakage.push(r.f64_bits()?);
         }
         ways.push(WayCircuitResult {
             region_delay,
@@ -368,28 +327,31 @@ pub fn parse_checkpoint(text: &str) -> Result<CheckpointState, StudyError> {
     parse_body(split_crc_trailer(text)?)
 }
 
-fn parse_body(text: &str) -> Result<CheckpointState, StudyError> {
-    let mut lines = text.lines().enumerate();
-    let corrupt = |line: usize, what: &str| StudyError::Corrupt {
+/// Reads the header line `line`, `<name> <value>`, parsing the value
+/// with `value`.
+fn header<'a, T>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    line: usize,
+    name: &str,
+    value: fn(&mut TokenReader<'a>) -> Result<T, StudyError>,
+) -> Result<T, StudyError> {
+    let text = lines.next().ok_or_else(|| StudyError::Corrupt {
         line,
-        what: what.to_string(),
-    };
-    lines.next(); // The magic line, already verified by the caller.
+        what: "truncated header".into(),
+    })?;
+    let mut r = TokenReader::new(text, line);
+    r.keyword(name)?;
+    let v = value(&mut r)?;
+    r.end("header")?;
+    Ok(v)
+}
 
-    let mut header = |name: &str| -> Result<String, StudyError> {
-        let (n, l) = lines.next().ok_or_else(|| corrupt(0, "truncated header"))?;
-        l.strip_prefix(name)
-            .and_then(|v| v.strip_prefix(' '))
-            .map(str::to_string)
-            .ok_or_else(|| corrupt(n + 1, &format!("expected {name} header")))
-    };
-    let seed = u64::from_str_radix(&header("seed")?, 16).map_err(|_| corrupt(2, "bad seed"))?;
-    let chips = header("chips")?
-        .parse()
-        .map_err(|_| corrupt(3, "bad chip count"))?;
-    let done = header("done")?
-        .parse()
-        .map_err(|_| corrupt(4, "bad done count"))?;
+fn parse_body(text: &str) -> Result<CheckpointState, StudyError> {
+    let mut lines = text.lines();
+    lines.next(); // The magic line, already verified by the caller.
+    let seed = header(&mut lines, 2, "seed", TokenReader::hex)?;
+    let chips = header(&mut lines, 3, "chips", TokenReader::int)?;
+    let done = header(&mut lines, 4, "done", TokenReader::int)?;
 
     let mut state = CheckpointState {
         seed,
@@ -400,135 +362,91 @@ fn parse_body(text: &str) -> Result<CheckpointState, StudyError> {
         shards: Vec::new(),
     };
     let mut ended = false;
-    for (n, l) in lines {
-        let line = n + 1;
+    for (line, l) in (5..).zip(lines) {
+        let mut r = TokenReader::new(l, line);
         if ended {
-            return Err(corrupt(line, "content after END"));
+            return Err(r.corrupt("content after END"));
         }
         if l == "END" {
             ended = true;
             continue;
         }
-        if let Some(rest) = l.strip_prefix("C ") {
-            let mut tokens = rest.split_ascii_whitespace();
-            let index = take(&mut tokens, line)?
-                .parse()
-                .map_err(|_| corrupt(line, "bad chip index"))?;
-            let regular = parse_result(&mut tokens, line)?;
-            let horizontal = parse_result(&mut tokens, line)?;
-            if tokens.next().is_some() {
-                return Err(corrupt(line, "trailing tokens on chip record"));
+        match r.next()? {
+            "C" => {
+                let index = r.int()?;
+                let regular = parse_result(&mut r)?;
+                let horizontal = parse_result(&mut r)?;
+                r.end("chip")?;
+                state.completed.push(ChipSample {
+                    index,
+                    regular,
+                    horizontal,
+                });
             }
-            state.completed.push(ChipSample {
-                index,
-                regular,
-                horizontal,
-            });
-        } else if let Some(rest) = l.strip_prefix("Q ") {
-            let mut tokens = rest.splitn(3, ' ');
-            let index = take(&mut tokens, line)?
-                .parse()
-                .map_err(|_| corrupt(line, "bad quarantine index"))?;
-            let q_seed = u64::from_str_radix(take(&mut tokens, line)?, 16)
-                .map_err(|_| corrupt(line, "bad quarantine seed"))?;
-            let error = take(&mut tokens, line)?.to_string();
-            // Unobserved: these chips were counted in `ChipsQuarantined`
-            // when first quarantined; re-parsing the checkpoint on resume
-            // must not count them again.
-            state.quarantine.record_unobserved(index, q_seed, error);
-        } else if let Some(rest) = l.strip_prefix("S ") {
-            let mut tokens = rest.split_ascii_whitespace();
-            let start = take(&mut tokens, line)?
-                .parse()
-                .map_err(|_| corrupt(line, "bad shard start"))?;
-            let len = parse_usize(take(&mut tokens, line)?, line)?;
-            if tokens.next().is_some() {
-                return Err(corrupt(line, "trailing tokens on shard record"));
+            "Q" => {
+                let index = r.int()?;
+                let q_seed = r.hex()?;
+                let error = r.rest_of_line()?.to_string();
+                // Unobserved: these chips were counted in `ChipsQuarantined`
+                // when first quarantined; re-parsing the checkpoint on resume
+                // must not count them again.
+                state.quarantine.record_unobserved(index, q_seed, error);
             }
-            state.shards.push(ShardRecord {
-                start,
-                len,
-                status: ShardStatus::Done,
-            });
-        } else if let Some(rest) = l.strip_prefix("D ") {
-            let mut tokens = rest.splitn(4, ' ');
-            let start = take(&mut tokens, line)?
-                .parse()
-                .map_err(|_| corrupt(line, "bad shard start"))?;
-            let len = parse_usize(take(&mut tokens, line)?, line)?;
-            let attempts = take(&mut tokens, line)?
-                .parse()
-                .map_err(|_| corrupt(line, "bad attempt count"))?;
-            let error = take(&mut tokens, line)?.to_string();
-            state.shards.push(ShardRecord {
-                start,
-                len,
-                status: ShardStatus::Degraded { attempts, error },
-            });
-        } else {
-            return Err(corrupt(line, "unrecognised record"));
+            "S" => {
+                let start = r.int()?;
+                let len = r.int()?;
+                r.end("shard")?;
+                state.shards.push(ShardRecord {
+                    start,
+                    len,
+                    status: ShardStatus::Done,
+                });
+            }
+            "D" => {
+                let start = r.int()?;
+                let len = r.int()?;
+                let attempts = r.int()?;
+                let error = r.rest_of_line()?.to_string();
+                state.shards.push(ShardRecord {
+                    start,
+                    len,
+                    status: ShardStatus::Degraded { attempts, error },
+                });
+            }
+            _ => return Err(r.corrupt("unrecognised record")),
         }
     }
     if !ended {
-        return Err(corrupt(text.lines().count(), "missing END marker"));
+        return Err(StudyError::Corrupt {
+            line: text.lines().count(),
+            what: "missing END marker".into(),
+        });
     }
     Ok(state)
 }
 
 pub(crate) fn read_state(path: &Path) -> Result<Option<CheckpointState>, StudyError> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => parse_checkpoint(&text).map(Some),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(StudyError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Syncs `path`'s parent directory, making a just-renamed entry durable
-/// (on Unix a rename lives in the directory, which has its own cache).
-pub(crate) fn fsync_parent(path: &Path) -> std::io::Result<()> {
-    if cfg!(unix) {
-        if let Some(parent) = path.parent() {
-            let dir = if parent.as_os_str().is_empty() {
-                Path::new(".")
-            } else {
-                parent
-            };
-            std::fs::File::open(dir)?.sync_all()?;
-        }
-    }
-    Ok(())
+    read_optional(path)?
+        .map(|text| parse_checkpoint(&text))
+        .transpose()
 }
 
 pub(crate) fn write_state(path: &Path, state: &CheckpointState) -> Result<(), StudyError> {
-    let io_err = |e: std::io::Error| StudyError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    };
     // Write, sync, rename, then sync the parent directory: a kill
     // mid-write leaves the previous checkpoint intact, the file fsync
     // makes sure the rename cannot publish data still in the page cache,
     // and the directory fsync makes the rename itself survive power loss.
     let tmp = path.with_extension("tmp");
-    crate::chaos::intercept_write(
-        crate::chaos::IoSite::Checkpoint,
+    write_durable(
+        IoSite::Checkpoint,
         &tmp,
         render_checkpoint(state).as_bytes(),
-        |bytes| {
-            use std::io::Write;
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(bytes)?;
-            file.sync_all()
-        },
-    )
-    .map_err(io_err)?;
-    crate::chaos::intercept_write(crate::chaos::IoSite::CheckpointRename, path, &[], |_| {
+    )?;
+    intercept_write(IoSite::CheckpointRename, path, &[], |_| {
         std::fs::rename(&tmp, path)?;
         fsync_parent(path)
     })
-    .map_err(io_err)?;
+    .map_err(|e| io_error(path, e))?;
     yac_obs::inc(yac_obs::Metric::CheckpointsWritten);
     yac_obs::trace_instant(
         yac_obs::TraceEventKind::CheckpointWritten,
@@ -659,6 +577,23 @@ mod tests {
             parse_checkpoint(&no_crc),
             Err(StudyError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn a_truncated_header_names_the_line_it_expected() {
+        for (body, line) in [
+            (format!("{MAGIC}\n"), 2),
+            (format!("{MAGIC}\nseed 0000000000000001\n"), 3),
+        ] {
+            let text = format!("{body}CRC {:08x}\n", crc32(body.as_bytes()));
+            assert_eq!(
+                parse_checkpoint(&text),
+                Err(StudyError::Corrupt {
+                    line,
+                    what: "truncated header".into(),
+                })
+            );
+        }
     }
 
     #[test]

@@ -52,8 +52,8 @@
 //! }
 //! ```
 
-use crate::chaos::{ChaosStream, NetSite};
-use crate::service::{read_frame, write_frame, ServiceReply, ServiceRequest};
+use crate::framing::CRC_FAILURE;
+use crate::service::{exchange, ServiceReply, ServiceRequest};
 use std::fmt;
 use std::io;
 use std::net::TcpStream;
@@ -429,20 +429,7 @@ impl ResilientClient {
             stream.set_read_timeout(Some(remaining)).map_err(io)?;
             stream.set_write_timeout(Some(remaining)).map_err(io)?;
         }
-        let mut stream = ChaosStream::new(stream, NetSite::Client);
-        write_frame(&mut stream, request.to_json().as_bytes()).map_err(io)?;
-        let payload = read_frame(&mut stream).map_err(io)?.ok_or_else(|| {
-            AttemptFailure::Transport(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed without replying",
-            ))
-        })?;
-        let text = String::from_utf8(payload).map_err(|e| {
-            AttemptFailure::Transport(io::Error::new(io::ErrorKind::InvalidData, e))
-        })?;
-        let reply = ServiceReply::parse(&text).map_err(|e| {
-            AttemptFailure::Transport(io::Error::new(io::ErrorKind::InvalidData, e))
-        })?;
+        let (reply, text) = exchange(stream, request).map_err(io)?;
         if let ServiceReply::Busy { retry_after_ms, .. } = reply {
             return Err(AttemptFailure::Busy {
                 retry_after: Duration::from_millis(retry_after_ms),
@@ -461,7 +448,7 @@ impl ResilientClient {
         // request in flight — transient, so retry it like any other
         // transport fault rather than surfacing it as terminal.
         if let ServiceReply::Error { message } = &reply {
-            if message.contains("fails its CRC") {
+            if message.contains(CRC_FAILURE) {
                 return Err(AttemptFailure::Transport(io::Error::new(
                     io::ErrorKind::InvalidData,
                     message.clone(),
@@ -615,6 +602,25 @@ mod tests {
         let (reply, _) = client.request(&ServiceRequest::Shutdown).unwrap();
         assert_eq!(reply, ServiceReply::Bye);
         assert!(!client.breaker().is_open());
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_server_crc_failure_report_is_retried() {
+        let ok = ServiceReply::Result {
+            record: "total 1".into(),
+            key: 7,
+            cached: true,
+        };
+        let (addr, server) = scripted_server(vec![
+            Some(ServiceReply::Error {
+                message: format!("frame payload {CRC_FAILURE} (header 00000000, payload 00000001)"),
+            }),
+            Some(ok.clone()),
+        ]);
+        let mut client = ResilientClient::new(addr, quick_config());
+        let (reply, _) = client.request(&ServiceRequest::Stats).unwrap();
+        assert_eq!(reply, ok);
         server.join().unwrap();
     }
 

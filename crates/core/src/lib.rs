@@ -41,6 +41,7 @@ pub mod confidence;
 pub mod constraints;
 pub mod economics;
 pub mod executor;
+mod framing;
 pub mod health;
 pub mod perf;
 pub mod quarantine;

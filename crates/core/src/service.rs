@@ -112,34 +112,37 @@
 //! service.shutdown();
 //! ```
 
-use crate::chaos::{intercept_write, ChaosStream, IoSite, NetSite};
-use crate::checkpoint::{crc32, fsync_parent, CheckpointState, StudyError};
+use crate::chaos::{ChaosStream, IoSite, NetSite};
+use crate::checkpoint::{CheckpointState, StudyError};
 use crate::chip::PopulationConfig;
 use crate::constraints::ConstraintSpec;
 use crate::executor::{run_shard, shards_for, ExecutorConfig, ShardMsg, ShardSpec, WorkerLane};
+use crate::framing::{
+    crc32, crc_line, frame_bytes, io_error, is_would_block, read_frame_conn, read_optional,
+    scan_crc_lines, write_durable, FrameIn, TokenReader,
+};
+pub use crate::framing::{read_frame, write_frame, MAX_FRAME};
 use crate::health::{HealthConfig, HeartbeatRegistry, StallEvent, StallSentinel};
 use crate::schemes::PowerDownKind;
 use crate::stealing::StealPool;
 use crate::sweep::{
-    check_crc_line, crc_line, parse_journal, parse_result, render_result,
-    study_result_from_outcome, CpiOptions, StudySpec, StudyStatus, SweepConfig, SweepGrid,
+    parse_journal, parse_result, render_result, study_result_from_outcome, CpiOptions, StudySpec,
+    StudyStatus, SweepConfig, SweepGrid,
 };
 use std::collections::{HashMap, HashSet};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use yac_obs::manifest::json_string;
 use yac_obs::{Metric, Phase, TraceCtx, TraceEventKind};
 use yac_variation::MonteCarlo;
 
 /// Cache-file magic line content (before its CRC trailer).
 const CACHE_MAGIC: &str = "YAC-CACHE v1";
-
-/// Largest frame either side of the wire protocol will accept.
-pub const MAX_FRAME: usize = 16 << 20;
 
 /// Looks up one of the paper's constraint recipes by its stable name.
 #[must_use]
@@ -421,10 +424,8 @@ impl ResultCache {
         let Ok(text) = std::fs::read_to_string(path) else {
             return 0;
         };
-        let rotted = text
-            .lines()
-            .filter(|line| check_crc_line(line).is_none())
-            .count();
+        let scan = scan_crc_lines(&text);
+        let rotted = scan.lines - scan.bodies.len();
         if rotted == 0 {
             return 0;
         }
@@ -507,13 +508,6 @@ impl ResultCache {
         }
     }
 
-    fn io_err(path: &Path, e: io::Error) -> StudyError {
-        StudyError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        }
-    }
-
     /// Persists the cache to `path` in `YAC-CACHE v1` format: CRC-trailed
     /// lines, entries in ascending recency so a load replays them in LRU
     /// order. One full rewrite through the chaos layer
@@ -540,13 +534,7 @@ impl ResultCache {
             let record = String::from_utf8_lossy(&entry.record);
             text.push_str(&crc_line(&format!("E {key:016x} {record}")));
         }
-        intercept_write(IoSite::CacheFile, path, text.as_bytes(), |bytes| {
-            let mut f = std::fs::File::create(path)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-            fsync_parent(path)
-        })
-        .map_err(|e| Self::io_err(path, e))
+        write_durable(IoSite::CacheFile, path, text.as_bytes())
     }
 
     /// Loads a cache persisted by [`ResultCache::save`]. `Ok(None)` when
@@ -561,45 +549,40 @@ impl ResultCache {
     /// [`StudyError::Corrupt`] for CRC failures, a bad magic or
     /// malformed entry lines.
     pub fn load(path: &Path, budget: usize) -> Result<Option<ResultCache>, StudyError> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(Self::io_err(path, e)),
+        let Some(text) = read_optional(path)? else {
+            return Ok(None);
         };
-        let mut cache = ResultCache::new(budget);
-        for (lineno, line) in text.lines().enumerate() {
-            let line_number = lineno + 1;
-            let corrupt = |what: String| StudyError::Corrupt {
-                line: line_number,
-                what,
-            };
-            let Some(body) = check_crc_line(line) else {
-                return Err(corrupt("cache line fails its CRC".into()));
-            };
-            if line_number == 1 {
-                if body != CACHE_MAGIC {
-                    return Err(corrupt(format!("bad cache magic {body:?}")));
-                }
-                continue;
-            }
-            let rest = body
-                .strip_prefix("E ")
-                .ok_or_else(|| corrupt(format!("unknown cache record {body:?}")))?;
-            let (key_hex, record) = rest
-                .split_once(' ')
-                .ok_or_else(|| corrupt("cache entry missing record".into()))?;
-            let key = u64::from_str_radix(key_hex, 16)
-                .map_err(|_| corrupt(format!("bad cache key {key_hex:?}")))?;
-            // Parse and re-render: refuses malformed records and pins the
-            // stored text to the canonical rendering.
-            let result = parse_result(record, line_number)?;
-            cache.insert(key, render_result(&result));
-        }
         if text.is_empty() {
             return Err(StudyError::Corrupt {
                 line: 1,
                 what: "cache file is empty (missing magic)".into(),
             });
+        }
+        let scan = scan_crc_lines(&text);
+        if let Some((line, _)) = scan.first_bad {
+            return Err(StudyError::Corrupt {
+                line,
+                what: "cache line fails its CRC".into(),
+            });
+        }
+        let mut cache = ResultCache::new(budget);
+        for (line, body) in scan.bodies {
+            if line == 1 {
+                if body != CACHE_MAGIC {
+                    return Err(StudyError::Corrupt {
+                        line,
+                        what: format!("bad cache magic {body:?}"),
+                    });
+                }
+                continue;
+            }
+            let mut r = TokenReader::new(body, line);
+            r.keyword("E")?;
+            let key = r.hex()?;
+            // Parse and re-render: refuses malformed records and pins the
+            // stored text to the canonical rendering.
+            let result = parse_result(r.rest_of_line()?, line)?;
+            cache.insert(key, render_result(&result));
         }
         Ok(Some(cache))
     }
@@ -631,22 +614,12 @@ impl ResultCache {
                     .into(),
             ));
         }
-        let text = std::fs::read_to_string(path).map_err(|e| Self::io_err(path, e))?;
+        let text = std::fs::read_to_string(path).map_err(|e| io_error(path, e))?;
         let Some(journal) = parse_journal(&text)? else {
             return Ok(0); // Headerless journal: nothing durable to warm from.
         };
         let specs = grid.studies();
-        let fingerprint = grid.fingerprint(config);
-        if journal.grid_hash != fingerprint || journal.studies != specs.len() {
-            return Err(StudyError::Mismatch(format!(
-                "sweep journal belongs to a different grid \
-                 (journal {:016x}/{} studies, this grid {:016x}/{})",
-                journal.grid_hash,
-                journal.studies,
-                fingerprint,
-                specs.len()
-            )));
-        }
+        journal.check_grid(grid.fingerprint(config), specs.len())?;
         let mut warmed = 0;
         for (index, status) in &journal.terminal {
             if let StudyStatus::Completed(result) = status {
@@ -1650,26 +1623,11 @@ impl SweepService {
 // ---------------------------------------------------------------------
 //
 // The protocol needs exactly flat objects of scalars, so the codec is
-// ~100 lines here instead of a dependency: an escaping writer and a
-// recursive-descent parser for one object of string/number/bool/null
-// values. Numbers are kept as raw token text until a typed accessor
-// parses them, so `u64` seeds survive without an `f64` round trip.
-
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
+// ~100 lines here instead of a dependency: strings are escaped by
+// `yac_obs`'s `json_string`, and a recursive-descent parser reads one
+// object of string/number/bool/null values. Numbers are kept as raw
+// token text until a typed accessor parses them, so `u64` seeds survive
+// without an `f64` round trip.
 
 /// One scalar value in a flat JSON object.
 #[derive(Debug, Clone, PartialEq)]
@@ -1859,12 +1817,6 @@ fn parse_flat_object(text: &str) -> Result<FlatObject, String> {
     Ok(FlatObject { fields })
 }
 
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    let _ = std::fmt::Write::write_fmt(out, format_args!("\"{key}\":\""));
-    json_escape(out, value);
-    out.push('"');
-}
-
 impl ServiceRequest {
     /// Renders the request as its wire JSON.
     #[must_use]
@@ -1961,11 +1913,10 @@ impl ServiceReply {
                 key,
                 cached,
             } => {
-                let mut out =
-                    format!("{{\"status\":\"ok\",\"cached\":{cached},\"key\":\"{key:016x}\",");
-                push_str_field(&mut out, "record", record);
-                out.push('}');
-                out
+                format!(
+                    "{{\"status\":\"ok\",\"cached\":{cached},\"key\":\"{key:016x}\",\"record\":{}}}",
+                    json_string(record)
+                )
             }
             ServiceReply::Busy {
                 inflight,
@@ -1986,10 +1937,10 @@ impl ServiceReply {
                 format!("{{\"status\":\"retryable\",\"retry_after_ms\":{retry_after_ms}}}")
             }
             ServiceReply::Error { message } => {
-                let mut out = "{\"status\":\"error\",".to_owned();
-                push_str_field(&mut out, "message", message);
-                out.push('}');
-                out
+                format!(
+                    "{{\"status\":\"error\",\"message\":{}}}",
+                    json_string(message)
+                )
             }
             ServiceReply::Stats(s) => format!(
                 "{{\"status\":\"stats\",\"queries\":{},\"served\":{},\"busy\":{},\
@@ -2129,217 +2080,11 @@ impl ServiceReply {
 // Framing and the TCP serve loop
 // ---------------------------------------------------------------------
 
-/// Renders the wire image of one frame: big-endian `u32` length,
-/// big-endian `u32` CRC-32 of the payload, then the payload.
-fn frame_bytes(payload: &[u8]) -> io::Result<Vec<u8>> {
-    if payload.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
-        ));
-    }
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&crc32(payload).to_be_bytes());
-    frame.extend_from_slice(payload);
-    Ok(frame)
-}
-
-/// Writes one CRC-checked, length-prefixed frame (big-endian `u32`
-/// length, big-endian `u32` payload CRC-32, then the payload) and
-/// flushes.
-///
-/// # Errors
-///
-/// Propagates the underlying write error; refuses payloads over
-/// [`MAX_FRAME`] as [`io::ErrorKind::InvalidData`].
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&frame_bytes(payload)?)?;
-    w.flush()
-}
-
-/// Reads `buf.len()` bytes from a *blocking* reader. `Ok(false)` means
-/// clean EOF before the first byte (only honoured when `at_start`).
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8], at_start: bool) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 && at_start => return Ok(false),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Diagnoses a frame whose payload fails its CRC.
-fn crc_mismatch(want: u32, got: u32) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("frame payload fails its CRC (header {want:08x}, payload {got:08x})"),
-    )
-}
-
-/// Reads one CRC-checked, length-prefixed frame from a *blocking*
-/// reader. `Ok(None)` means the peer closed the connection cleanly
-/// before a frame started.
-///
-/// The payload buffer grows as bytes actually arrive (in steps of at
-/// most 64 KiB), so a hostile header claiming [`MAX_FRAME`] bytes on a
-/// connection that then stalls or closes never costs a 16 MiB
-/// allocation up front.
-///
-/// # Errors
-///
-/// [`io::ErrorKind::UnexpectedEof`] when the peer closes mid-frame;
-/// [`io::ErrorKind::InvalidData`] for frames over [`MAX_FRAME`] or
-/// payloads failing their CRC.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    if !read_exact_or_eof(r, &mut len_bytes, true)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds MAX_FRAME"),
-        ));
-    }
-    let mut crc_bytes = [0u8; 4];
-    read_exact_or_eof(r, &mut crc_bytes, false)?;
-    let want = u32::from_be_bytes(crc_bytes);
-    let mut payload = Vec::with_capacity(len.min(64 << 10));
-    let mut chunk = [0u8; 4096];
-    while payload.len() < len {
-        let step = (len - payload.len()).min(chunk.len());
-        match r.read(&mut chunk[..step]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => payload.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let got = crc32(&payload);
-    if got != want {
-        return Err(crc_mismatch(want, got));
-    }
-    Ok(Some(payload))
-}
-
-/// Whether an error is the "no data within the socket timeout" signal.
-/// `set_read_timeout` surfaces as either kind depending on platform.
-fn is_would_block(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
 /// How long connection sockets block per read/write attempt. The kernel
 /// parks the thread for up to one tick (`SO_RCVTIMEO`/`SO_SNDTIMEO`),
 /// so idling costs no CPU; shutdown and frame deadlines are checked
 /// once per tick.
 const IO_TICK: Duration = Duration::from_millis(20);
-
-/// One read attempt from a frame loop.
-enum FrameIn {
-    /// A whole frame arrived.
-    Frame(Vec<u8>),
-    /// Clean EOF before a frame, or shutdown was requested while idle.
-    Closed,
-    /// The peer stalled mid-frame past the read deadline: evict it.
-    Evicted,
-}
-
-/// Reads one frame from a connection socket whose read timeout is
-/// [`IO_TICK`]. Idle ticks *between* frames are free — a connected
-/// client may stay silent forever — but once the first byte of a frame
-/// arrives the rest must follow within `deadline` or the peer is
-/// reported as [`FrameIn::Evicted`].
-fn read_frame_conn(
-    stream: &mut ChaosStream<TcpStream>,
-    service: &SweepService,
-    deadline: Duration,
-) -> io::Result<FrameIn> {
-    let mut header = [0u8; 8];
-    let mut filled = 0;
-    let mut started: Option<Instant> = None;
-    // Header: length then CRC. The eviction clock arms at byte one.
-    while filled < 8 {
-        match stream.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(FrameIn::Closed),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => {
-                started.get_or_insert_with(Instant::now);
-                filled += n;
-            }
-            Err(e) if is_would_block(&e) => {
-                if filled == 0 {
-                    if service.shutdown_requested() {
-                        return Ok(FrameIn::Closed);
-                    }
-                } else if started.is_some_and(|t| t.elapsed() >= deadline) {
-                    return Ok(FrameIn::Evicted);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds MAX_FRAME"),
-        ));
-    }
-    let want = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
-    let armed = started.unwrap_or_else(Instant::now);
-    let mut payload = Vec::with_capacity(len.min(64 << 10));
-    let mut chunk = [0u8; 4096];
-    while payload.len() < len {
-        let step = (len - payload.len()).min(chunk.len());
-        match stream.read(&mut chunk[..step]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => payload.extend_from_slice(&chunk[..n]),
-            Err(e) if is_would_block(&e) => {
-                if armed.elapsed() >= deadline {
-                    return Ok(FrameIn::Evicted);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let got = crc32(&payload);
-    if got != want {
-        return Err(crc_mismatch(want, got));
-    }
-    Ok(FrameIn::Frame(payload))
-}
 
 /// Writes all of `bytes` to a connection socket whose write timeout is
 /// [`IO_TICK`], giving up (`TimedOut`) when the peer accepts nothing
@@ -2495,7 +2240,8 @@ fn handle_connection(stream: TcpStream, service: &Arc<SweepService>) {
     let mut stream = ChaosStream::new(stream, NetSite::Server);
     let read_deadline = service.config().read_deadline;
     loop {
-        let payload = match read_frame_conn(&mut stream, service, read_deadline) {
+        let stop = || service.shutdown_requested();
+        let payload = match read_frame_conn(&mut stream, Some((read_deadline, &stop))) {
             Ok(FrameIn::Frame(payload)) => payload,
             Ok(FrameIn::Closed) => return,
             Ok(FrameIn::Evicted) => {
@@ -2660,8 +2406,17 @@ pub fn serve(listener: &TcpListener, service: &Arc<SweepService>) -> io::Result<
 pub fn client_request(addr: &str, request: &ServiceRequest) -> io::Result<(ServiceReply, String)> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
-    // Client bytes flow through the chaos layer too, so a torture run
-    // exercises both directions of the wire.
+    exchange(stream, request)
+}
+
+/// One request frame out and one reply frame back on a connected
+/// client socket, returning the typed reply plus its raw JSON. Client
+/// bytes flow through the chaos layer too, so a torture run exercises
+/// both directions of the wire.
+pub(crate) fn exchange(
+    stream: TcpStream,
+    request: &ServiceRequest,
+) -> io::Result<(ServiceReply, String)> {
     let mut stream = ChaosStream::new(stream, NetSite::Client);
     write_frame(&mut stream, request.to_json().as_bytes())?;
     let payload = read_frame(&mut stream)?.ok_or_else(|| {
@@ -3101,6 +2856,12 @@ mod tests {
         ] {
             assert!(ServiceRequest::parse(bad).is_err(), "{bad:?}");
         }
+    }
+
+    /// The body of the JSON string literal the wire writes for `s`.
+    fn json_escape(out: &mut String, s: &str) {
+        let quoted = json_string(s);
+        out.push_str(&quoted[1..quoted.len() - 1]);
     }
 
     #[test]

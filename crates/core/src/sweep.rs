@@ -74,11 +74,14 @@
 
 use crate::analysis::{table2, table3, LossBreakdown, LossTable, SchemeLosses};
 use crate::chaos::{intercept_write, IoSite};
-use crate::checkpoint::{crc32, fsync_parent, StudyError};
+use crate::checkpoint::StudyError;
 use crate::chip::PopulationConfig;
 use crate::confidence::{yield_interval, YieldInterval};
 use crate::constraints::{ConstraintSpec, YieldConstraints};
 use crate::executor::{fan_out, panic_message, run_checkpointed_workers, ExecutorConfig};
+use crate::framing::{
+    crc_line, io_error, read_optional, scan_crc_lines, write_durable, TokenReader,
+};
 use crate::perf::{suite_cpis_isolated, PerfOptions};
 use crate::schemes::PowerDownKind;
 use std::fmt::Write as _;
@@ -366,20 +369,6 @@ impl SweepOutcome {
 // Journal rendering and parsing
 // ---------------------------------------------------------------------
 
-/// Appends the per-line CRC trailer.
-pub(crate) fn crc_line(body: &str) -> String {
-    format!("{body} CRC {:08x}\n", crc32(body.as_bytes()))
-}
-
-/// Splits a journal line into its body and verifies the CRC trailer.
-/// `None` means the line is torn or rotted (only tolerable as the final
-/// line of the file).
-pub(crate) fn check_crc_line(line: &str) -> Option<&str> {
-    let (body, hex) = line.rsplit_once(" CRC ")?;
-    let stated = u32::from_str_radix(hex, 16).ok()?;
-    (crc32(body.as_bytes()) == stated).then_some(body)
-}
-
 fn name_token(name: &str) -> String {
     // Journal records are whitespace-tokenised; names with whitespace
     // (none of ours have any) are made token-safe, at the cost of exact
@@ -440,56 +429,14 @@ pub fn render_result(r: &StudyResult) -> String {
     out
 }
 
-struct TokenReader<'a> {
-    tokens: std::str::SplitAsciiWhitespace<'a>,
-    line: usize,
-}
-
-impl<'a> TokenReader<'a> {
-    fn corrupt(&self, what: impl Into<String>) -> StudyError {
-        StudyError::Corrupt {
-            line: self.line,
-            what: what.into(),
-        }
+fn breakdown(r: &mut TokenReader<'_>) -> Result<LossBreakdown, StudyError> {
+    let leakage = r.int()?;
+    let rows = r.int()?;
+    let mut delay = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        delay.push(r.int()?);
     }
-
-    fn next(&mut self) -> Result<&'a str, StudyError> {
-        self.tokens
-            .next()
-            .ok_or_else(|| self.corrupt("truncated record"))
-    }
-
-    fn keyword(&mut self, word: &str) -> Result<(), StudyError> {
-        let got = self.next()?;
-        if got == word {
-            Ok(())
-        } else {
-            Err(self.corrupt(format!("expected {word:?}, got {got:?}")))
-        }
-    }
-
-    fn usize(&mut self) -> Result<usize, StudyError> {
-        let t = self.next()?;
-        t.parse()
-            .map_err(|_| self.corrupt(format!("bad integer {t:?}")))
-    }
-
-    fn f64_bits(&mut self) -> Result<f64, StudyError> {
-        let t = self.next()?;
-        u64::from_str_radix(t, 16)
-            .map(f64::from_bits)
-            .map_err(|_| self.corrupt(format!("bad f64 bits {t:?}")))
-    }
-
-    fn breakdown(&mut self) -> Result<LossBreakdown, StudyError> {
-        let leakage = self.usize()?;
-        let rows = self.usize()?;
-        let mut delay = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            delay.push(self.usize()?);
-        }
-        Ok(LossBreakdown { leakage, delay })
-    }
+    Ok(LossBreakdown { leakage, delay })
 }
 
 /// Parses [`render_result`] tokens back into a [`StudyResult`] (bit
@@ -500,14 +447,11 @@ impl<'a> TokenReader<'a> {
 /// Returns [`StudyError::Corrupt`] when the tokens are truncated,
 /// malformed or carry trailing garbage.
 pub fn parse_result(tokens: &str, line: usize) -> Result<StudyResult, StudyError> {
-    let mut r = TokenReader {
-        tokens: tokens.split_ascii_whitespace(),
-        line,
-    };
+    let mut r = TokenReader::new(tokens, line);
     r.keyword("total")?;
-    let total_chips = r.usize()?;
+    let total_chips = r.int()?;
     r.keyword("quarantined")?;
-    let quarantined = r.usize()?;
+    let quarantined = r.int()?;
     r.keyword("variant")?;
     let base_variant = match r.next()? {
         "R" => CacheVariant::Regular,
@@ -517,13 +461,13 @@ pub fn parse_result(tokens: &str, line: usize) -> Result<StudyResult, StudyError
     r.keyword("spec")?;
     let spec_name = r.next()?.to_owned();
     r.keyword("base")?;
-    let base = r.breakdown()?;
+    let base = breakdown(&mut r)?;
     r.keyword("schemes")?;
-    let nschemes = r.usize()?;
+    let nschemes = r.int()?;
     let mut schemes = Vec::with_capacity(nschemes);
     for _ in 0..nschemes {
         let name = r.next()?.to_owned();
-        let losses = r.breakdown()?;
+        let losses = breakdown(&mut r)?;
         schemes.push(SchemeLosses { name, losses });
     }
     r.keyword("interval")?;
@@ -533,11 +477,11 @@ pub fn parse_result(tokens: &str, line: usize) -> Result<StudyResult, StudyError
         hi: r.f64_bits()?,
     };
     r.keyword("evaluated")?;
-    let evaluated_chips = r.usize()?;
+    let evaluated_chips = r.int()?;
     r.keyword("missing")?;
-    let missing_chips = r.usize()?;
+    let missing_chips = r.int()?;
     r.keyword("shards")?;
-    let degraded_shards = r.usize()?;
+    let degraded_shards = r.int()?;
     r.keyword("cpi")?;
     let mean_cpi = match r.next()? {
         "-" => None,
@@ -547,9 +491,7 @@ pub fn parse_result(tokens: &str, line: usize) -> Result<StudyResult, StudyError
                 .map_err(|_| r.corrupt(format!("bad cpi bits {bits:?}")))?,
         ),
     };
-    if r.tokens.next().is_some() {
-        return Err(r.corrupt("trailing tokens on study record"));
-    }
+    r.end("study")?;
     Ok(StudyResult {
         loss: LossTable {
             base_variant,
@@ -582,43 +524,40 @@ pub(crate) struct ParsedJournal {
     pub(crate) valid_len: u64,
 }
 
+impl ParsedJournal {
+    /// Refuses a journal written for another grid than the one with
+    /// this `fingerprint` and `studies` cells.
+    pub(crate) fn check_grid(&self, fingerprint: u64, studies: usize) -> Result<(), StudyError> {
+        if self.grid_hash == fingerprint && self.studies == studies {
+            return Ok(());
+        }
+        Err(StudyError::Mismatch(format!(
+            "sweep journal belongs to a different grid \
+             (journal {:016x}/{} studies, this grid {:016x}/{studies})",
+            self.grid_hash, self.studies, fingerprint
+        )))
+    }
+}
+
 /// Parses journal text. `Ok(None)` means the file holds no complete
 /// header — the signature of a crash during creation — and the sweep
 /// should start fresh (rewriting the file).
 pub(crate) fn parse_journal(text: &str) -> Result<Option<ParsedJournal>, StudyError> {
-    // A crash mid-append can only tear the final line: CRC-check line by
-    // line, tolerating damage (bad CRC or a missing newline) only at the
-    // very end of the file. Damage anywhere else is bit rot and fatal.
-    let mut bodies = Vec::new();
-    let mut torn_tail = false;
-    let mut valid_len = 0usize;
-    let mut lineno = 0usize;
-    let mut pos = 0usize;
-    while pos < text.len() {
-        lineno += 1;
-        let Some(nl) = text[pos..].find('\n') else {
-            torn_tail = true; // Newline-less tail: crash mid-append.
-            break;
-        };
-        let line = &text[pos..pos + nl];
-        match check_crc_line(line) {
-            Some(body) => {
-                bodies.push((lineno, body));
-                pos += nl + 1;
-                valid_len = pos;
-            }
-            None if pos + nl + 1 == text.len() => {
-                torn_tail = true;
-                break;
-            }
-            None => {
-                return Err(StudyError::Corrupt {
-                    line: lineno,
-                    what: "journal line fails its CRC (bit rot mid-file)".into(),
-                })
-            }
+    // A crash mid-append can only tear the final line: damage (a bad CRC
+    // or a missing newline) is tolerated only there. Damage anywhere else
+    // is bit rot and fatal.
+    let scan = scan_crc_lines(text);
+    let (torn_tail, valid_len) = match scan.first_bad {
+        None => (false, text.len()),
+        Some((line, at)) if line == scan.lines => (true, at),
+        Some((line, _)) => {
+            return Err(StudyError::Corrupt {
+                line,
+                what: "journal line fails its CRC (bit rot mid-file)".into(),
+            })
         }
-    }
+    };
+    let bodies = scan.bodies;
     let Some(&(_, magic)) = bodies.first() else {
         return Ok(None); // Nothing durable yet: fresh sweep.
     };
@@ -631,15 +570,10 @@ pub(crate) fn parse_journal(text: &str) -> Result<Option<ParsedJournal>, StudyEr
     let Some(&(gline, grid)) = bodies.get(1) else {
         return Ok(None); // Header crashed before the grid line.
     };
-    let mut r = TokenReader {
-        tokens: grid.split_ascii_whitespace(),
-        line: gline,
-    };
+    let mut r = TokenReader::new(grid, gline);
     r.keyword("G")?;
-    let hex = r.next()?;
-    let grid_hash =
-        u64::from_str_radix(hex, 16).map_err(|_| r.corrupt(format!("bad grid hash {hex:?}")))?;
-    let studies = r.usize()?;
+    let grid_hash = r.hex()?;
+    let studies = r.int()?;
     let mut terminal: Vec<(usize, StudyStatus)> = Vec::new();
     let mut record =
         |index: usize, status: StudyStatus| match terminal.iter_mut().find(|(i, _)| *i == index) {
@@ -647,28 +581,29 @@ pub(crate) fn parse_journal(text: &str) -> Result<Option<ParsedJournal>, StudyEr
             None => terminal.push((index, status)),
         };
     for &(line, body) in &bodies[2..] {
-        let corrupt = |what: String| StudyError::Corrupt { line, what };
-        let (tag, rest) = body
-            .split_once(' ')
-            .ok_or_else(|| corrupt("bare record tag".into()))?;
-        let (index_token, payload) = rest.split_once(' ').unwrap_or((rest, ""));
-        let index: usize = index_token
-            .parse()
-            .map_err(|_| corrupt(format!("bad study index {index_token:?}")))?;
+        let mut r = TokenReader::new(body, line);
+        let tag = r.next()?;
+        let index: usize = r.int()?;
         if index >= studies {
-            return Err(corrupt(format!("study index {index} out of range")));
+            return Err(r.corrupt(format!("study index {index} out of range")));
         }
         match tag {
             "R" => {} // In-flight witness only; terminal state comes later.
-            "S" => record(index, StudyStatus::Completed(parse_result(payload, line)?)),
-            "D" => record(index, StudyStatus::Degraded(parse_result(payload, line)?)),
+            "S" => record(
+                index,
+                StudyStatus::Completed(parse_result(r.rest_of_line()?, line)?),
+            ),
+            "D" => record(
+                index,
+                StudyStatus::Degraded(parse_result(r.rest_of_line()?, line)?),
+            ),
             "F" => record(
                 index,
                 StudyStatus::Failed {
-                    error: payload.to_owned(),
+                    error: r.rest_of_line()?.to_owned(),
                 },
             ),
-            other => return Err(corrupt(format!("unknown record tag {other:?}"))),
+            other => return Err(r.corrupt(format!("unknown record tag {other:?}"))),
         }
     }
     Ok(Some(ParsedJournal {
@@ -689,13 +624,6 @@ struct SweepJournal {
 }
 
 impl SweepJournal {
-    fn io_err(path: &Path, e: std::io::Error) -> StudyError {
-        StudyError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        }
-    }
-
     /// Opens `path` for appending, creating it (plus the header lines
     /// and a parent-directory fsync) when `fresh`.
     fn open(path: &Path, fresh: bool, grid_hash: u64, studies: usize) -> Result<Self, StudyError> {
@@ -707,19 +635,12 @@ impl SweepJournal {
                 crc_line(MAGIC),
                 crc_line(&format!("G {grid_hash:016x} {studies}"))
             );
-            intercept_write(IoSite::SweepJournal, path, header.as_bytes(), |bytes| {
-                use std::io::Write;
-                let mut f = std::fs::File::create(path)?;
-                f.write_all(bytes)?;
-                f.sync_all()?;
-                fsync_parent(path)
-            })
-            .map_err(|e| Self::io_err(path, e))?;
+            write_durable(IoSite::SweepJournal, path, header.as_bytes())?;
         }
         let file = std::fs::OpenOptions::new()
             .append(true)
             .open(path)
-            .map_err(|e| Self::io_err(path, e))?;
+            .map_err(|e| io_error(path, e))?;
         Ok(SweepJournal {
             path: path.to_path_buf(),
             file,
@@ -734,7 +655,7 @@ impl SweepJournal {
             self.file.write_all(bytes)?;
             self.file.sync_all()
         })
-        .map_err(|e| Self::io_err(&self.path, e))
+        .map_err(|e| io_error(&self.path, e))
     }
 }
 
@@ -847,25 +768,15 @@ pub fn run_sweep(
     }
     let fingerprint = grid.fingerprint(config);
 
-    let parsed = match std::fs::read_to_string(journal_path) {
-        Ok(text) => parse_journal(&text)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => return Err(SweepJournal::io_err(journal_path, e)),
+    let parsed = match read_optional(journal_path)? {
+        Some(text) => parse_journal(&text)?,
+        None => None,
     };
     let mut statuses: Vec<StudyStatus> = vec![StudyStatus::Pending; specs.len()];
     let (resumed, recovered) = match &parsed {
         None => (false, 0),
         Some(journal) => {
-            if journal.grid_hash != fingerprint || journal.studies != specs.len() {
-                return Err(StudyError::Mismatch(format!(
-                    "sweep journal belongs to a different grid \
-                     (journal {:016x}/{} studies, this grid {:016x}/{})",
-                    journal.grid_hash,
-                    journal.studies,
-                    fingerprint,
-                    specs.len()
-                )));
-            }
+            journal.check_grid(fingerprint, specs.len())?;
             for (index, status) in &journal.terminal {
                 statuses[*index] = status.clone();
             }
@@ -881,7 +792,7 @@ pub fn run_sweep(
                 f.set_len(journal.valid_len)?;
                 f.sync_all()
             })
-            .map_err(|e| SweepJournal::io_err(journal_path, e))?;
+            .map_err(|e| io_error(journal_path, e))?;
         }
     }
     let journal = Mutex::new(SweepJournal::open(
@@ -1109,15 +1020,6 @@ mod tests {
             // Canonical: re-render matches byte for byte.
             assert_eq!(render_result(&parsed), text);
         }
-    }
-
-    #[test]
-    fn journal_lines_carry_verifiable_crcs() {
-        let line = crc_line("S 3 total 1");
-        let body = check_crc_line(line.trim_end()).unwrap();
-        assert_eq!(body, "S 3 total 1");
-        assert!(check_crc_line("S 3 total 1 CRC 00000000").is_none());
-        assert!(check_crc_line("no trailer at all").is_none());
     }
 
     fn journal_text(records: &[&str]) -> String {

@@ -263,7 +263,7 @@ impl RunManifest {
 }
 
 /// Escapes a string as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
